@@ -27,7 +27,8 @@ Layers (bottom up):
   :class:`RuntimeNode` drives the existing :mod:`repro.core` component
   tower unchanged; :class:`ByzantineProcess` speaks for the faulty ids
   with the existing :mod:`repro.adversary` strategies; both batch each
-  beat's traffic per link;
+  beat's traffic per link, and an honest node encodes its broadcasts
+  once for every link;
 * :mod:`~repro.runtime.runner` — :func:`run_runtime` builds a run with
   the simulator's exact seed discipline and reports the trajectory;
 * :mod:`~repro.runtime.orchestrator` — :func:`run_cluster` launches a

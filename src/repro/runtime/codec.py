@@ -233,8 +233,10 @@ class BinaryCodec(Codec):
     batched = True
 
     def encode_batch(self, frames: Sequence[Frame]) -> "tuple[bytes, ...]":
-        # The runtime encodes one batch per (link, beat): this method is
-        # the hottest code in a live run, so interning and the payload
+        # An honest node encodes one batch per beat, shared by every link
+        # without point-to-point traffic, plus one per link that carries
+        # some; the Byzantine process encodes one per (link, beat).  This
+        # is the hottest code in a live run, so interning and the payload
         # walk are inlined (helper calls only on table misses) and the
         # domain checks double as the encoding dispatch — exact types
         # via `type(x) is`, with a cold fallback that normalizes legal

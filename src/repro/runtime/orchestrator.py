@@ -54,7 +54,7 @@ from repro.net.trace import BeatRecord, records_to_jsonl
 from repro.runtime.byzantine import ByzantineProcess
 from repro.runtime.codec import DEFAULT_CODEC, resolve_codec
 from repro.runtime.node import RuntimeNode
-from repro.runtime.runner import _default_probe
+from repro.runtime.runner import _default_probe, _select_faulty
 from repro.runtime.sync import BeatSynchronizer
 from repro.runtime.transport import TcpTransport
 
@@ -318,8 +318,7 @@ async def _worker_async(
     adversary_rng = seeds.stream("adversary")
     faulty_ids: frozenset[int] = frozenset()
     if adversary is not None:
-        faulty = adversary.select_faulty(n, f, adversary_rng)
-        faulty_ids = frozenset(faulty)
+        faulty_ids = _select_faulty(adversary, n, f, adversary_rng)
         adversary.setup(n, f, faulty_ids, adversary_rng)
         env.divergence_chooser = adversary.choose_divergent_outputs
     honest_ids = [i for i in range(n) if i not in faulty_ids]

@@ -47,6 +47,8 @@ from repro.runtime.transport import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - break import cycle, typing only
+    import random
+
     from repro.adversary.base import Adversary
 
 __all__ = ["RuntimeResult", "run_runtime"]
@@ -55,6 +57,21 @@ __all__ = ["RuntimeResult", "run_runtime"]
 def _default_probe(root: Component) -> Any:
     """Snapshot the tower's clock value (every clock tower exposes one)."""
     return getattr(root, "clock_value", None)
+
+
+def _select_faulty(
+    adversary: "Adversary", n: int, f: int, rng: "random.Random"
+) -> frozenset[int]:
+    """The adversary's faulty set, rejected unless it is at most ``f``
+    known node ids (shared by the single-process and cluster runners)."""
+    faulty = adversary.select_faulty(n, f, rng)
+    if len(faulty) > f:
+        raise ConfigurationError(
+            f"adversary corrupted {len(faulty)} nodes, but f={f}"
+        )
+    if any(i not in range(n) for i in faulty):
+        raise ConfigurationError("adversary corrupted unknown node ids")
+    return frozenset(faulty)
 
 
 def _history_rows(records: "tuple[BeatRecord, ...]") -> tuple[tuple, ...]:
@@ -319,14 +336,7 @@ def run_runtime(
     adversary_rng = seeds.stream("adversary")
     byzantine: "tuple | None" = None
     if adversary is not None:
-        faulty = adversary.select_faulty(n, f, adversary_rng)
-        if len(faulty) > f:
-            raise ConfigurationError(
-                f"adversary corrupted {len(faulty)} nodes, but f={f}"
-            )
-        if any(i not in range(n) for i in faulty):
-            raise ConfigurationError("adversary corrupted unknown node ids")
-        faulty_ids = frozenset(faulty)
+        faulty_ids = _select_faulty(adversary, n, f, adversary_rng)
         adversary.setup(n, f, faulty_ids, adversary_rng)
         env.divergence_chooser = adversary.choose_divergent_outputs
         if faulty_ids:

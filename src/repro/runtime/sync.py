@@ -92,6 +92,9 @@ class BeatSynchronizer:
         self.barrier_timeouts = 0
         self._messages: dict[int, list[Entry]] = {}
         self._markers: dict[int, set[int]] = {}
+        # The receiver of every delivered envelope: this endpoint, never
+        # the frame's claimed field (honest broadcasts claim BROADCAST).
+        self._node_id = endpoint.node_id
         # Transport fast path: endpoints backed by an in-process queue
         # expose a non-blocking drain, which lets one await service a
         # whole burst of queued wire units.
@@ -143,7 +146,7 @@ class BeatSynchronizer:
             self.late_messages += 1
             return
         self._messages.setdefault(frame.beat, []).append(
-            ((sender, frame.seq), frame.envelope(sender))
+            ((sender, frame.seq), frame.envelope(sender, self._node_id))
         )
 
     # -- the barrier -------------------------------------------------------

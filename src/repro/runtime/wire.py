@@ -13,7 +13,8 @@ Three frame kinds exist:
   delivery;
 * ``hello`` — a TCP connection preamble binding the connection to a node
   id (sender identity is per-connection, not per-frame — a frame's claimed
-  sender is *ignored* by receivers, mirroring Definition 2.2 item 2).
+  sender is *ignored* by receivers, mirroring Definition 2.2 item 2; so is
+  its claimed receiver, which the receiving endpoint stamps itself).
   Hello frames are always encoded in this module's JSON form, whatever
   codec a run selects: the handshake must be readable before any codec
   negotiation can be trusted.
@@ -121,17 +122,21 @@ class Frame:
     path: str = ""
     payload: Hashable = None
 
-    def envelope(self, verified_sender: int) -> Envelope:
-        """Rebuild the envelope, stamping the transport-verified sender.
+    def envelope(self, verified_sender: int, receiver: int) -> Envelope:
+        """Rebuild the envelope, stamping both ends from the link.
 
-        The frame's *claimed* sender is deliberately discarded: identity
-        comes from the connection (TCP hello) or the in-process queue
-        registration, so a faulty peer cannot forge an honest sender —
-        the runtime analogue of
-        :func:`~repro.net.network.ensure_faulty_senders`.
+        The frame's *claimed* sender and receiver are deliberately
+        discarded: sender identity comes from the connection (TCP hello)
+        or the in-process queue registration, so a faulty peer cannot
+        forge an honest sender — the runtime analogue of
+        :func:`~repro.net.network.ensure_faulty_senders` — and the
+        receiver is the endpoint the unit arrived on.  Honest broadcast
+        frames claim :data:`~repro.net.message.BROADCAST` (one encoding
+        serves every link); a claimed receiver never reaches protocol or
+        adversary code.
         """
         return Envelope(
-            verified_sender, self.receiver, self.path, self.payload, self.beat
+            verified_sender, receiver, self.path, self.payload, self.beat
         )
 
 

@@ -9,6 +9,7 @@ simulator), one exercising failure surfacing.
 
 from __future__ import annotations
 
+import asyncio
 import textwrap
 
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from repro.errors import ConfigurationError, TransportError
 from repro.net.trace import records_to_jsonl
 from repro.runtime import ClusterSpec, load_specs, run_cluster, run_runtime
-from repro.runtime.orchestrator import _partition
+from repro.runtime.orchestrator import _partition, _worker_async
 
 
 def _spec(**overrides) -> ClusterSpec:
@@ -167,3 +168,27 @@ class TestRunCluster:
         spec = _spec(beats=2, host="203.0.113.1")  # TEST-NET-3: unbindable
         with pytest.raises(TransportError, match="worker"):
             run_cluster(spec)
+
+
+class TestWorkerFaultySet:
+    """Workers rebuild the faulty set themselves; they must reject an
+    illegal one exactly as ``run_runtime`` does, before any socket opens."""
+
+    @pytest.mark.parametrize(
+        "faulty, match",
+        [({2, 3}, "corrupted 2 nodes, but f=1"), ({9}, "unknown node ids")],
+    )
+    def test_illegal_faulty_set_rejected(self, monkeypatch, faulty, match):
+        from repro.adversary.base import Adversary
+        from repro.analysis import campaign
+
+        class Overreach(Adversary):
+            def select_faulty(self, n, f, rng):
+                return frozenset(faulty)
+
+        monkeypatch.setitem(campaign.ADVERSARY_REGISTRY, "overreach", Overreach)
+        spec = _spec(adversary="overreach")
+        with pytest.raises(ConfigurationError, match=match):
+            asyncio.run(_worker_async(spec, 0, (0, 1), conn=None))
+        with pytest.raises(ConfigurationError, match=match):
+            run_runtime(4, 1, lambda i: None, adversary=Overreach(), beats=1)

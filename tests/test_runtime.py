@@ -14,7 +14,7 @@ import asyncio
 import pytest
 
 from repro.errors import ConfigurationError, TransportError, WireError
-from repro.net.message import Envelope
+from repro.net.message import BROADCAST, Envelope
 from repro.runtime import (
     CODECS,
     DEFAULT_CODEC,
@@ -60,7 +60,7 @@ class TestWireCodec:
         frame = frame_for_envelope(envelope, seq=5)
         decoded = decode_frame(encode_frame(frame))
         assert decoded == frame
-        assert decoded.envelope(2) == envelope
+        assert decoded.envelope(2, 1) == envelope
 
     def test_end_and_hello_round_trip(self):
         for frame in (Frame(kind=END, sender=3, beat=9),
@@ -73,7 +73,7 @@ class TestWireCodec:
             encode_frame(Frame(kind=MSG, sender=999, beat=0, seq=0,
                                receiver=1, path="root", payload=0))
         )
-        assert frame.envelope(verified_sender=2).sender == 2
+        assert frame.envelope(verified_sender=2, receiver=1).sender == 2
 
     @pytest.mark.parametrize(
         "payload", [[1, 2], {"a": 1}, {1, 2}, b"bytes", object()]
@@ -453,6 +453,31 @@ class TestBatchedSynchronizer:
         assert inbox == {}
 
 
+    @pytest.mark.parametrize("codec", [JsonCodec(), BinaryCodec()])
+    def test_receiver_is_stamped_from_the_link(self, codec):
+        """A frame's claimed receiver never reaches the envelope: the
+        barrier stamps its own endpoint id, as it does the sender."""
+        async def scenario():
+            endpoint = _stub_endpoint()
+            endpoint.node_id = 2
+            sync = BeatSynchronizer(endpoint, expected=[1], codec=codec)
+            frames = (
+                Frame(kind=MSG, sender=1, beat=0, seq=0, receiver=3,
+                      path="root", payload="claims-3"),
+                Frame(kind=MSG, sender=1, beat=0, seq=1, receiver=BROADCAST,
+                      path="root", payload="claims-all"),
+                Frame(kind=END, sender=1, beat=0),
+            )
+            for unit in codec.encode_batch(frames):
+                endpoint.queue.put_nowait((1, unit))
+            return await sync.collect(0)
+
+        inbox = asyncio.run(scenario())
+        assert [(e.receiver, e.payload) for e in inbox["root"]] == [
+            (2, "claims-3"), (2, "claims-all"),
+        ]
+
+
 class TestTransportRegistry:
     def test_registry_names(self):
         assert set(TRANSPORTS) == {"local", "tcp"}
@@ -524,6 +549,63 @@ class TestRunner:
         # exactly one unit per (sender, receiver, beat).
         assert binary_run.frames_sent == 4 * 4 * 8
         assert json_run.frames_sent == json_run.messages_sent + 4 * 4 * 8
+
+    def test_one_encode_per_honest_node_beat(self):
+        """An honest broadcast is encoded once for all links: a pure
+        broadcast protocol costs one ``encode_batch`` per node-beat, while
+        the message count still tallies per-receiver copies."""
+        from repro.net.simulator import Simulation
+
+        class CountingCodec(BinaryCodec):
+            calls = 0
+
+            def encode_batch(self, frames):
+                CountingCodec.calls += 1
+                return super().encode_batch(frames)
+
+        beats = 15
+        result = run_runtime(
+            4, 1, self._factory(), seed=0, beats=beats, k=6,
+            codec=CountingCodec(),
+        )
+        assert CountingCodec.calls == 4 * beats
+        assert result.frames_sent == 4 * 4 * beats
+        sim = Simulation(4, 1, self._factory(), seed=0, engine="reference")
+        sim.scramble()
+        sim.run(beats)
+        assert result.messages_sent == sim.stats.total_messages == 520
+
+    def test_adversary_view_receivers_are_the_faulty_endpoints(self):
+        """Honest broadcasts cross the wire once per beat with a
+        ``BROADCAST`` receiver claim; the Byzantine process must still see
+        one copy per faulty endpoint, addressed to it, in the engines'
+        view order (strategies filter on ``envelope.receiver``)."""
+        from repro.adversary import EquivocatorAdversary
+        from repro.net.simulator import Simulation
+
+        class ViewRecorder(EquivocatorAdversary):
+            def __init__(self) -> None:
+                super().__init__()
+                self.views: list = []
+
+            def craft_messages(self, view):
+                self.views.append([
+                    (e.sender, e.receiver, e.path, e.payload)
+                    for e in view.visible_messages
+                ])
+                return super().craft_messages(view)
+
+        live = ViewRecorder()
+        run_runtime(7, 2, self._factory(), adversary=live, seed=1,
+                    beats=10, codec="binary", k=6)
+        simulated = ViewRecorder()
+        sim = Simulation(7, 2, self._factory(), adversary=simulated, seed=1,
+                         engine="reference")
+        sim.scramble()
+        sim.run(10)
+        receivers = {r for view in live.views for _s, r, _p, _v in view}
+        assert receivers == set(live.faulty_ids) == {5, 6}
+        assert live.views == simulated.views
 
     def test_unknown_codec_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown codec"):

@@ -21,6 +21,8 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary import EquivocatorAdversary, SplitWorldAdversary
+from repro.adversary.mixed_dealing import MixedDealingAdversary
+from repro.coin.feldman_micali import FeldmanMicaliCoin
 from repro.coin.oracle import OracleCoin
 from repro.core.clock_sync import SSByzClockSync
 from repro.net.simulator import Simulation
@@ -160,6 +162,51 @@ class TestBinaryCodecIdentity:
         )
         assert binary_run.records == json_run.records
         assert binary_run.frames_sent < json_run.frames_sent
+
+
+class TestPointToPointIdentity:
+    """The GVSS coin deals rows and cross-points point to point, so its
+    live links carry per-receiver frames merged (in emission order) with
+    the broadcast frames every link shares.  That merge must reproduce
+    the reference router's delivery order exactly, under a dealing and an
+    equivocating adversary, on both wire formats.
+
+    ``MixedDealingAdversary`` iterates a set of paths, so its trajectory
+    depends on the string-hash seed; both runs below share one
+    interpreter and hence one hash seed, which keeps the comparison
+    exact under any ``PYTHONHASHSEED``.
+    """
+
+    N, F, K, GVSS_BEATS = 7, 2, 6, 20
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("codec", ["json", "binary"])
+    @pytest.mark.parametrize(
+        "adversary_factory", [MixedDealingAdversary, EquivocatorAdversary]
+    )
+    def test_gvss_coin_matches_reference_simulator(
+        self, adversary_factory, codec, seed
+    ):
+        n, f = self.N, self.F
+
+        def factory(_node_id):
+            return SSByzClockSync(self.K, lambda: FeldmanMicaliCoin(n, f))
+
+        sim = Simulation(
+            n, f, factory, adversary=adversary_factory(), seed=seed,
+            engine="reference",
+        )
+        tracer = Tracer(lambda root: root.clock_value)
+        sim.add_monitor(tracer)
+        sim.scramble()
+        sim.run(self.GVSS_BEATS)
+        result = run_runtime(
+            n, f, factory, adversary=adversary_factory(), seed=seed,
+            beats=self.GVSS_BEATS, transport="local", codec=codec, k=self.K,
+        )
+        assert result.late_messages == 0
+        assert result.malformed_frames == 0
+        assert result.to_jsonl() == tracer.to_jsonl()
 
 
 class TestTcpLoopback:

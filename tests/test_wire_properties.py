@@ -121,7 +121,7 @@ class TestWireRoundTrip:
                                      payload, seq):
         envelope = Envelope(sender, receiver, path, payload, beat)
         frame = frame_for_envelope(envelope, seq)
-        rebuilt = decode_frame(encode_frame(frame)).envelope(sender)
+        rebuilt = decode_frame(encode_frame(frame)).envelope(sender, receiver)
         assert rebuilt == envelope
 
     @given(_frames())
