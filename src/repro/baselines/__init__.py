@@ -7,7 +7,6 @@ the agreement-level tests and benches.
 """
 
 from repro.baselines.cyclic import CyclicAgreementClock
-from repro.baselines.det_clock_sync import DeterministicClockSync
 from repro.baselines.dolev_welch import DolevWelchClock
 from repro.baselines.phase_king import (
     BitwisePhaseKingAgreement,
@@ -24,7 +23,6 @@ from repro.baselines.turpin_coan import (
 __all__ = [
     "BitwisePhaseKingAgreement",
     "CyclicAgreementClock",
-    "DeterministicClockSync",
     "DolevWelchClock",
     "PhaseKingClock",
     "PhaseKingState",

@@ -121,10 +121,9 @@ class TurpinCoanClock(CyclicAgreementClock):
     value directly (single n² exchange per beat, two distribution rounds
     of overhead per cycle — compare :class:`~repro.baselines.phase_king.
     PhaseKingClock`'s shorter cycle and wider messages).  Registered as
-    the ``turpin-coan`` protocol; the Table 1 row
-    :class:`~repro.baselines.det_clock_sync.DeterministicClockSync` *is*
-    this construction under its historical name — the two registrations
-    are pinned trajectory-identical in ``tests/test_protocol.py``.
+    the ``turpin-coan`` protocol and, under the Table 1 row's historical
+    name, as ``deterministic`` — the two registrations build this same
+    class and are pinned trajectory-identical in ``tests/test_protocol.py``.
     """
 
     def __init__(self, n: int, f: int, k: int) -> None:

@@ -290,6 +290,5 @@ register(
         },
         description="beats/sec of reference vs fast vs bulk engines "
                     "across system sizes, plus gated trajectory digests",
-        source="benchmarks/bench_engines.py",
     )
 )

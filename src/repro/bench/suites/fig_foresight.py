@@ -104,6 +104,5 @@ register(
         params={"trials": 15, "max_beats": 300},
         description="coin unpredictability ablation: rushing vs illegal "
                     "foresight-1 adversaries",
-        source="benchmarks/bench_fig_foresight.py",
     )
 )

@@ -92,6 +92,5 @@ register(
         params={"trials": 10, "max_beats": 150},
         description="bisector-attack stall rates at n=3f+1 vs n=3f "
                     "(f < n/3 is tight)",
-        source="benchmarks/bench_fig_resilience.py",
     )
 )

@@ -324,6 +324,5 @@ register(
                     "drifting-clock convergence and skew metrics, and "
                     "the pulse-barrier runtime's wall-clock skew on "
                     "LocalTransport",
-        source="benchmarks/bench_pulse_precision.py",
     )
 )

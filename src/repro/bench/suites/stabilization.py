@@ -129,6 +129,5 @@ register(
         params={"trials": 8, "k": 8, "storm_beat": 60},
         description="recovery after a mid-run memory storm + phantom "
                     "network incoherence equals initial convergence",
-        source="benchmarks/bench_stabilization.py",
     )
 )

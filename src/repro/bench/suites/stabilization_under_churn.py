@@ -167,6 +167,5 @@ register(
         description="re-convergence after scripted membership churn "
                     "(join, crash+scrambled recover, leave) stays in the "
                     "initial-convergence band",
-        source="benchmarks/bench_stabilization_under_churn.py",
     )
 )

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.baselines.det_clock_sync import DeterministicClockSync
 from repro.baselines.dolev_welch import DolevWelchClock
 from repro.baselines.phase_king import PhaseKingClock, phase_king_rounds
 from repro.baselines.turpin_coan import TurpinCoanClock, turpin_coan_rounds
@@ -164,7 +163,7 @@ class DeterministicProtocol(Protocol):
     claimed_convergence = "O(f) deterministic"
 
     def factory(self, n, f, k, *, coin_factory=None, share_coin=False):
-        return lambda _node_id: DeterministicClockSync(n, f, k)
+        return lambda _node_id: TurpinCoanClock(n, f, k)
 
     def convergence_bound(self, n, f, k):
         return 2 * turpin_coan_rounds(f)

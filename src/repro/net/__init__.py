@@ -48,6 +48,7 @@ from repro.net.trace import (
     records_from_jsonl,
     records_to_jsonl,
 )
+from repro.net.world import World, build_world
 
 __all__ = [
     "BROADCAST",
@@ -93,6 +94,8 @@ __all__ = [
     "Simulation",
     "Tracer",
     "UPDATE",
+    "World",
+    "build_world",
     "derive_seed",
     "records_from_jsonl",
     "records_to_jsonl",

@@ -87,6 +87,7 @@ from repro.core.majority import (
 from repro.net.engine import ENGINES, FastEngine, _craft_byzantine
 from repro.net.linkmodel import PartitionLinks
 from repro.net.message import Envelope
+from repro.net.node import ROOT_PATH
 
 if TYPE_CHECKING:  # pragma: no cover - break import cycle, typing only
     from repro.net.simulator import Simulation
@@ -326,18 +327,17 @@ class ClockSyncProgram(BulkProgram):
         self.k = k
         self.share_coin = share_coin
         self.threshold = simulation.n - simulation.f
-        base = simulation.root_path
-        self.path_root = base
-        self.path_a1 = f"{base}/A/A1"
-        self.path_a2 = f"{base}/A/A2"
+        self.path_root = ROOT_PATH
+        self.path_a1 = f"{ROOT_PATH}/A/A1"
+        self.path_a2 = f"{ROOT_PATH}/A/A2"
         # Coin keys: (environment path, p0, p1) per pipeline; the path's
         # slot index is the pipeline's *last* slot, the one that resolves.
-        self.key_a1 = (f"{base}/A/A1/coin/slot{coin_a1[2]}",
+        self.key_a1 = (f"{ROOT_PATH}/A/A1/coin/slot{coin_a1[2]}",
                        coin_a1[0], coin_a1[1])
-        self.key_a2 = (f"{base}/A/A2/coin/slot{coin_a2[2]}",
+        self.key_a2 = (f"{ROOT_PATH}/A/A2/coin/slot{coin_a2[2]}",
                        coin_a2[0], coin_a2[1])
         self.key_root = None if share_coin else (
-            f"{base}/coin/slot{coin_root[2]}", coin_root[0], coin_root[1]
+            f"{ROOT_PATH}/coin/slot{coin_root[2]}", coin_root[0], coin_root[1]
         )
         size = self.size
         self.fc = _int_row(size)
@@ -726,7 +726,7 @@ class DolevWelchProgram(BulkProgram):
         super().__init__(simulation)
         self.k = k
         self.threshold = simulation.n - simulation.f
-        self.path_root = simulation.root_path
+        self.path_root = ROOT_PATH
         self.clock = _int_row(self.size)
 
     def load(self, slots: list[int]) -> None:

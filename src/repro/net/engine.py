@@ -58,6 +58,7 @@ from repro.errors import ConfigurationError
 from repro.net.component import Component
 from repro.net.message import BROADCAST, Envelope
 from repro.net.network import MessageStats, Router, ensure_faulty_senders
+from repro.net.node import ROOT_PATH
 
 if TYPE_CHECKING:  # pragma: no cover - break import cycle, typing only
     from repro.net.simulator import Simulation
@@ -333,7 +334,7 @@ class FastEngine:
         self._shared_envs: list[list[Envelope]] = []
         self._shared_keys: list[list[tuple[int, int]]] = []
         for node in simulation.nodes.values():
-            self._intern_tree(node.root, simulation.root_path)
+            self._intern_tree(node.root, ROOT_PATH)
             break  # one tree is enough; the rest are isomorphic
         # Reusable per-beat buffers.
         self._touched: list[int] = []

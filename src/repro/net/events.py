@@ -37,11 +37,10 @@ campaign worker counts, and the order in which draws are first asked
 for.  The load-bearing correctness argument is the **differential pin**:
 at ``rho = 0`` and ``delay_bounds = (0, 0)`` every pulse coincides,
 every close lands exactly one period later, and the event-driven
-execution replays the lock-step engines *bit-identically* — same seed
-discipline (``"env"``, ``"adversary"``, ``("node", i)``, ``"faults"``
-labels of :class:`~repro.net.rng.SeedSequence`), same canonical
-``(sender, seq)`` inbox order the live runtime's barrier sorts by, same
-rushing-adversary view order.  ``tests/test_event_engine.py`` enforces
+execution replays the lock-step engines *bit-identically* — the same
+world from :func:`~repro.net.world.build_world`, the same canonical
+``(sender, seq)`` inbox order the live runtime's barrier sorts by, the
+same rushing-adversary view order.  ``tests/test_event_engine.py`` enforces
 this against :class:`~repro.net.engine.ReferenceEngine` across seeds,
 and the gated ``pulse_precision`` bench pins the shared JSONL trace
 digests in CI.
@@ -60,15 +59,15 @@ import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable
 
-from repro.errors import ConfigurationError, check_resilience
+from repro.errors import ConfigurationError
 from repro.net.component import Component
 from repro.net.engine import _craft_byzantine
-from repro.net.environment import Environment
 from repro.net.message import Envelope
 from repro.net.network import MessageStats
 from repro.net.node import Node
-from repro.net.rng import SeedSequence, derive_seed
+from repro.net.rng import derive_seed
 from repro.net.trace import BeatRecord, records_to_jsonl
+from repro.net.world import build_world
 
 if TYPE_CHECKING:  # pragma: no cover - break import cycle, typing only
     from repro.adversary.base import Adversary
@@ -335,13 +334,12 @@ def _default_probe(root: Component) -> Any:
 class ContinuousSimulation:
     """An event-driven continuous-time run of one protocol stack.
 
-    Mirrors the :class:`~repro.net.simulator.Simulation` constructor and
-    its exact :class:`~repro.net.rng.SeedSequence` discipline (``"env"``,
-    ``"adversary"``, ``("node", i)``, ``"faults"`` — plus one extra
-    keyed ``"timing"`` seed that feeds clock rates and delay draws and
-    therefore cannot disturb the shared streams), then executes pulses,
-    arrivals and the adversary phase from a deterministic event heap
-    instead of a beat loop.
+    Builds the same world as :class:`~repro.net.simulator.Simulation`
+    (:func:`~repro.net.world.build_world`), plus one extra keyed
+    ``"timing"`` seed from its ``seeds`` that feeds clock rates and delay
+    draws and therefore cannot disturb the shared streams, then executes
+    pulses, arrivals and the adversary phase from a deterministic event
+    heap instead of a beat loop.
 
     Args:
         n, f: system size and fault parameter.
@@ -373,54 +371,26 @@ class ContinuousSimulation:
         rho: float = 0.0,
         delay_bounds: tuple[float, float] = (0.0, 0.0),
         pulse_period: float = 1.0,
-        root_path: str = "root",
-        enforce_resilience: bool = True,
         probe: Callable[[Component], Any] = _default_probe,
     ) -> None:
-        if enforce_resilience:
-            check_resilience(n, f)
-        elif n < 1 or f < 0 or f >= n:
-            raise ConfigurationError(f"nonsensical sizes n={n}, f={f}")
+        world = build_world(n, f, root_factory, adversary=adversary, seed=seed)
         d_min, d_max = delay_bounds
+        self.world = world
         self.n = n
         self.f = f
         self.seed = seed
         self.rho = rho
         self.delay_bounds = (float(d_min), float(d_max))
         self.pulse_period = pulse_period
-        self.root_path = root_path
         self.probe = probe
         self.stats = MessageStats()
-        self.seeds = SeedSequence(seed)
-        self.env = Environment(n, self.seeds.seed_for("env"))
+        self.seeds = world.seeds
+        self.env = world.env
         self.adversary = adversary
-        self._adversary_rng = self.seeds.stream("adversary")
-        if adversary is not None:
-            faulty = adversary.select_faulty(n, f, self._adversary_rng)
-            if len(faulty) > f:
-                raise ConfigurationError(
-                    f"adversary corrupted {len(faulty)} nodes, but f={f}"
-                )
-            if any(i not in range(n) for i in faulty):
-                raise ConfigurationError("adversary corrupted unknown node ids")
-            self.faulty_ids = frozenset(faulty)
-            adversary.setup(n, f, self.faulty_ids, self._adversary_rng)
-            self.env.divergence_chooser = adversary.choose_divergent_outputs
-        else:
-            self.faulty_ids = frozenset()
-        self.honest_ids = [i for i in range(n) if i not in self.faulty_ids]
-        self.nodes = {
-            i: Node(
-                i,
-                n,
-                f,
-                root_factory(i),
-                self.seeds.stream("node", i),
-                self.env,
-                root_path=root_path,
-            )
-            for i in self.honest_ids
-        }
+        self.adversary_rng = world.adversary_rng
+        self.faulty_ids = world.faulty_ids
+        self.honest_ids = world.honest_ids
+        self.nodes = world.nodes
         timing_seed = self.seeds.seed_for("timing")
         self.delays = KeyedDelays(timing_seed, *self.delay_bounds)
         self.synchronizers = {
@@ -429,13 +399,7 @@ class ContinuousSimulation:
             )
             for i, node in self.nodes.items()
         }
-        self._fault_rng = self.seeds.stream("faults")
         self.beats_run = 0
-
-    @property
-    def adversary_rng(self):
-        """RNG stream reserved for the adversary (the engines' seam)."""
-        return self._adversary_rng
 
     @property
     def late_messages(self) -> int:
@@ -450,16 +414,7 @@ class ContinuousSimulation:
         """Transient fault: redraw state of the given correct nodes
         (default all, in ascending id order — the lock-step
         :meth:`~repro.net.simulator.Simulation.scramble` discipline)."""
-        targets = sorted(self.nodes) if node_ids is None else list(node_ids)
-        unknown = sorted(i for i in targets if i not in self.nodes)
-        if unknown:
-            raise ConfigurationError(
-                f"cannot scramble node ids {unknown}: not in the honest "
-                f"set {self.honest_ids} (faulty nodes have no state — "
-                "the adversary speaks for them)"
-            )
-        for node_id in targets:
-            self.nodes[node_id].scramble(self._fault_rng)
+        self.world.scramble(node_ids)
 
     def pulse_skew(self, beat: int) -> float:
         """Max pairwise spread of honest pulse times at ``beat``."""
@@ -635,7 +590,6 @@ def run_continuous(
     pulse_period: float = 1.0,
     k: "int | None" = None,
     scramble: bool = True,
-    root_path: str = "root",
     probe: Callable[[Component], Any] = _default_probe,
 ) -> ContinuousResult:
     """Build and run one continuous-time trial (the
@@ -653,7 +607,6 @@ def run_continuous(
         rho=rho,
         delay_bounds=delay_bounds,
         pulse_period=pulse_period,
-        root_path=root_path,
         probe=probe,
     )
     if scramble:

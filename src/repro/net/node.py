@@ -13,7 +13,11 @@ from repro.net.component import SEND, UPDATE, BeatContext, Component
 from repro.net.environment import Environment
 from repro.net.message import Envelope, Outbox
 
-__all__ = ["Node"]
+__all__ = ["ROOT_PATH", "Node"]
+
+#: Routing prefix of every node's component tree: the root component's
+#: path, under which every message and coin path is addressed.
+ROOT_PATH = "root"
 
 
 class Node:
@@ -27,7 +31,6 @@ class Node:
         root: Component,
         rng: random.Random,
         env: Environment,
-        root_path: str = "root",
     ) -> None:
         self.node_id = node_id
         self.n = n
@@ -35,7 +38,6 @@ class Node:
         self.root = root
         self.rng = rng
         self.env = env
-        self.root_path = root_path
 
     def _context(
         self,
@@ -50,7 +52,7 @@ class Node:
             f=self.f,
             beat=beat,
             phase=phase,
-            path=self.root_path,
+            path=ROOT_PATH,
             rng=self.rng,
             env=self.env,
             outbox=outbox,

@@ -45,14 +45,13 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol
 
-from repro.errors import ConfigurationError, check_resilience
+from repro.errors import ConfigurationError
 from repro.net.component import Component
 from repro.net.engine import DEFAULT_ENGINE, Engine, resolve_engine
-from repro.net.environment import Environment
 from repro.net.linkmodel import DEFAULT_LINK, LinkModel, resolve_link
 from repro.net.message import Envelope
 from repro.net.node import Node
-from repro.net.rng import SeedSequence
+from repro.net.world import build_world
 
 if TYPE_CHECKING:  # pragma: no cover - break import cycle, typing only
     from repro.adversary.base import Adversary
@@ -78,7 +77,6 @@ class Simulation:
         adversary: controls the faulty nodes; ``None`` means a fault-free
             run (the protocol is still parameterized by ``f``).
         seed: master seed; equal seeds reproduce runs exactly.
-        root_path: routing prefix for the component tree.
         enforce_resilience: set to ``False`` only for experiments that
             deliberately cross the f < n/3 bound (the F3 resilience bench);
             protocols are *expected* to fail there.
@@ -121,51 +119,31 @@ class Simulation:
         *,
         adversary: "Adversary | None" = None,
         seed: int = 0,
-        root_path: str = "root",
         enforce_resilience: bool = True,
         engine: "str | Engine" = DEFAULT_ENGINE,
         link: "str | LinkModel" = DEFAULT_LINK,
         churn: "ChurnSchedule | object | None" = None,
         metrics: "object | None" = None,
     ) -> None:
-        if enforce_resilience:
-            check_resilience(n, f)
-        elif n < 1 or f < 0 or f >= n:
-            raise ConfigurationError(f"nonsensical sizes n={n}, f={f}")
+        world = build_world(
+            n,
+            f,
+            root_factory,
+            adversary=adversary,
+            seed=seed,
+            enforce_resilience=enforce_resilience,
+        )
+        self.world = world
         self.n = n
         self.f = f
         self.seed = seed
-        self.root_path = root_path
-        self.seeds = SeedSequence(seed)
-        self.env = Environment(n, self.seeds.seed_for("env"))
+        self.seeds = world.seeds
+        self.env = world.env
         self.adversary = adversary
-        self._adversary_rng = self.seeds.stream("adversary")
-        if adversary is not None:
-            faulty = adversary.select_faulty(n, f, self._adversary_rng)
-            if len(faulty) > f:
-                raise ConfigurationError(
-                    f"adversary corrupted {len(faulty)} nodes, but f={f}"
-                )
-            if any(i not in range(n) for i in faulty):
-                raise ConfigurationError("adversary corrupted unknown node ids")
-            self.faulty_ids = frozenset(faulty)
-            adversary.setup(n, f, self.faulty_ids, self._adversary_rng)
-            self.env.divergence_chooser = adversary.choose_divergent_outputs
-        else:
-            self.faulty_ids = frozenset()
-        self.honest_ids = [i for i in range(n) if i not in self.faulty_ids]
-        self.nodes = {
-            i: Node(
-                i,
-                n,
-                f,
-                root_factory(i),
-                self.seeds.stream("node", i),
-                self.env,
-                root_path=root_path,
-            )
-            for i in self.honest_ids
-        }
+        self.adversary_rng = world.adversary_rng
+        self.faulty_ids = world.faulty_ids
+        self.honest_ids = world.honest_ids
+        self.nodes = world.nodes
         # Membership: all honest nodes are built up front (ids, RNG
         # streams and dict order stay schedule-independent); the churn
         # schedule only toggles which of them participate in a beat.
@@ -186,7 +164,6 @@ class Simulation:
         self.engine.bind(self)
         self.beat = 0
         self.monitors: list[Monitor] = []
-        self._fault_rng = self.seeds.stream("faults")
         self.metrics = metrics
         if metrics is not None:
             from repro.obs.metrics import bind_simulation
@@ -199,11 +176,6 @@ class Simulation:
     def stats(self):
         """Network traffic statistics (see :class:`MessageStats`)."""
         return self.engine.stats
-
-    @property
-    def adversary_rng(self) -> random.Random:
-        """RNG stream reserved for the adversary (engines build its view)."""
-        return self._adversary_rng
 
     def honest_roots(self) -> dict[int, Component]:
         """Map of honest node id to its root component."""
@@ -256,14 +228,7 @@ class Simulation:
         if node_ids is None:
             targets = sorted(self.active_ids)
         else:
-            targets = list(node_ids)
-            unknown = sorted(i for i in targets if i not in self.nodes)
-            if unknown:
-                raise ConfigurationError(
-                    f"cannot scramble node ids {unknown}: not in the honest "
-                    f"set {self.honest_ids} (faulty nodes have no state — "
-                    "the adversary speaks for them)"
-                )
+            targets = self.world.honest_targets(node_ids)
             inactive = sorted(i for i in targets if i not in self.active_ids)
             if inactive:
                 raise ConfigurationError(
@@ -273,8 +238,7 @@ class Simulation:
                     "a transient fault cannot strike a machine that is "
                     "not running)"
                 )
-        for node_id in targets:
-            self.nodes[node_id].scramble(self._fault_rng)
+        self.world.scramble(targets)
         # Engines mirroring node state out-of-tree (the bulk engine's SoA
         # rows) must observe external writes; the hook is optional so the
         # reference/fast engines stay oblivious.
@@ -288,7 +252,7 @@ class Simulation:
 
     def phantom_rng(self) -> random.Random:
         """RNG stream reserved for phantom/fault generation helpers."""
-        return self._fault_rng
+        return self.world.fault_rng
 
     # -- membership churn ----------------------------------------------------
 
@@ -312,8 +276,7 @@ class Simulation:
                 self.active_ids.update(event.node_ids)
             self._active_view = None
         if recovered:
-            for node_id in recovered:
-                self.nodes[node_id].scramble(self._fault_rng)
+            self.world.scramble(recovered)
             notify = getattr(self.engine, "notify_state_written", None)
             if notify is not None:
                 notify(recovered)

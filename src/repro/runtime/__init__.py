@@ -29,8 +29,9 @@ Layers (bottom up):
   with the existing :mod:`repro.adversary` strategies; both batch each
   beat's traffic per link, and an honest node encodes its broadcasts
   once for every link;
-* :mod:`~repro.runtime.runner` — :func:`run_runtime` builds a run with
-  the simulator's exact seed discipline and reports the trajectory;
+* :mod:`~repro.runtime.runner` — :func:`run_runtime` builds a run's
+  world with the simulator's :func:`~repro.net.world.build_world` and
+  reports the trajectory;
 * :mod:`~repro.runtime.orchestrator` — :func:`run_cluster` launches a
   multi-process TCP cluster from a declarative :class:`ClusterSpec`.
 

@@ -27,16 +27,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.net.network import ensure_faulty_senders
-from repro.runtime.codec import Codec, DEFAULT_CODEC, resolve_codec
-from repro.runtime.sync import BeatSynchronizer
+from repro.runtime.codec import Codec
 from repro.runtime.transport import Endpoint
 from repro.runtime.wire import END, Frame, frame_for_envelope
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import random
-
-    from repro.adversary.base import Adversary
-    from repro.net.environment import Environment
+    from repro.net.world import World
 
 __all__ = ["ByzantineProcess"]
 
@@ -45,60 +41,45 @@ class ByzantineProcess:
     """One task speaking for every faulty node over real endpoints.
 
     Args:
-        adversary: an already-``setup()`` strategy object (the runner
-            replicates the simulator's selection/setup sequence so the
-            shared RNG stream stays aligned with lock-step runs).
+        world: the run's :class:`~repro.net.world.World`; its
+            already-``setup()`` adversary, sizes, environment and
+            adversary stream are exactly what the lock-step engines
+            show the strategy.
         endpoints: one transport endpoint per faulty id.
-        n, f: system sizes.
-        env: the shared environment (coin outcomes, rushing channel).
-        rng: the adversary's RNG stream.
-        beat_timeout: barrier timeout per faulty endpoint; ``None`` waits
-            forever (safe only when every honest peer is live).
         codec: the run's wire codec — the faulty peers speak whatever the
             run speaks (a Byzantine node may *garble* frames, but that is
             modeled as malformed traffic, not a codec of its own).
-        synchronizer_factory: optional ``(endpoint, expected, node_id) ->
-            BeatSynchronizer`` override for the per-endpoint barriers —
-            how pulse-mode runs give the faulty endpoints
-            :class:`~repro.runtime.sync.PulseBarrier` deadlines, so a
-            stalled *honest* peer cannot hang the adversary either.
-            When set, ``beat_timeout`` is ignored.
+        synchronizer_factory: ``(endpoint, expected, node_id) ->
+            BeatSynchronizer`` for the per-endpoint barriers — the run's
+            own barrier kind, so in pulse mode a stalled *honest* peer
+            cannot hang the adversary either.
     """
 
     def __init__(
         self,
-        adversary: "Adversary",
+        world: "World",
         endpoints: dict[int, Endpoint],
         *,
-        n: int,
-        f: int,
-        env: "Environment",
-        rng: "random.Random",
-        beat_timeout: "float | None" = None,
-        codec: "str | Codec" = DEFAULT_CODEC,
-        synchronizer_factory=None,
+        codec: Codec,
+        synchronizer_factory,
     ) -> None:
-        self.adversary = adversary
+        self.adversary = world.adversary
         self.endpoints = dict(sorted(endpoints.items()))
-        self.n = n
-        self.f = f
-        self.env = env
-        self.rng = rng
-        self.codec = resolve_codec(codec)
+        self.n = world.n
+        self.f = world.f
+        self.env = world.env
+        self.rng = world.adversary_rng
+        self.codec = codec
         self.faulty_ids = frozenset(self.endpoints)
-        self.honest_ids = [i for i in range(n) if i not in self.faulty_ids]
+        self.honest_ids = [
+            i for i in range(world.n) if i not in self.faulty_ids
+        ]
         self.messages_sent = 0
         self.frames_sent = 0
         self.dead_letters = 0
         # One barrier per faulty endpoint, each closed by the honest
         # markers alone: the faulty ids' own markers are this process's
         # output, and other faulty traffic is never part of the legal view.
-        if synchronizer_factory is None:
-            def synchronizer_factory(endpoint, expected, _node_id):
-                return BeatSynchronizer(
-                    endpoint, expected, beat_timeout=beat_timeout,
-                    codec=self.codec,
-                )
         self._synchronizers = {
             node_id: synchronizer_factory(endpoint, self.honest_ids, node_id)
             for node_id, endpoint in self.endpoints.items()

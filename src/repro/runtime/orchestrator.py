@@ -26,18 +26,18 @@ Launch sequence (two-phase address exchange):
    :class:`~repro.net.trace.BeatRecord` rows — the same JSONL trace
    shape every other harness in the repository emits.
 
-Determinism: every worker replays the *complete*
-:func:`~repro.runtime.runner.run_runtime` seed discipline — the same
-:class:`~repro.net.rng.SeedSequence` labels, the same fault selection,
-honest-node construction and scramble order over **all** ids, not just
-its own block — and then runs only the nodes it owns.  Shared randomness
-stays aligned across processes because every cross-node draw is keyed
-(coin outcomes memoized per ``(path, beat)``, transport jitter per link
-counter), never streamed.  The one caveat: adversaries whose
-``divergence_chooser`` consumes the adversary RNG stream would advance
-it differently per process, so cluster runs are pinned against the
-simulator only for the fault-free and stream-independent strategies the
-tests cover.
+Determinism: every worker builds the *complete* world with
+:func:`~repro.net.world.build_world` — the builder
+:func:`~repro.runtime.runner.run_runtime` and the simulators use, so the
+same faulty set, honest towers and scramble order over **all** ids, not
+just its own block — and then runs only the nodes it owns, through the
+runner's own wiring coroutine.  Shared randomness stays aligned across
+processes because every cross-node draw is keyed (coin outcomes memoized
+per ``(path, beat)``, transport jitter per link counter), never
+streamed.  The one caveat: adversaries whose ``divergence_chooser``
+consumes the adversary RNG stream would advance it differently per
+process, so cluster runs are pinned against the simulator only for the
+fault-free and stream-independent strategies the tests cover.
 """
 
 from __future__ import annotations
@@ -51,11 +51,10 @@ from typing import TYPE_CHECKING, Any
 from repro.core.problem import converged_at
 from repro.errors import ConfigurationError, TransportError, check_resilience
 from repro.net.trace import BeatRecord, records_to_jsonl
-from repro.runtime.byzantine import ByzantineProcess
+from repro.net.world import build_world
 from repro.runtime.codec import DEFAULT_CODEC, resolve_codec
-from repro.runtime.node import RuntimeNode
-from repro.runtime.runner import _default_probe, _select_faulty
-from repro.runtime.sync import BeatSynchronizer
+from repro.runtime.runner import _default_probe, _pulse_skew, _run_world, _tally
+from repro.runtime.sync import check_sync
 from repro.runtime.transport import TcpTransport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -130,21 +129,7 @@ class ClusterSpec:
                 f"unknown coin {self.coin!r}; try oracle, gvss or local"
             )
         resolve_codec(self.codec)  # unknown codec -> ConfigurationError
-        if self.sync not in ("beat", "pulse"):
-            raise ConfigurationError(
-                f"unknown sync mode {self.sync!r}: expected 'beat' or "
-                "'pulse'"
-            )
-        if self.sync == "beat" and self.rho:
-            raise ConfigurationError(
-                "clock drift (rho) only applies to the pulse barrier; "
-                "set sync='pulse'"
-            )
-        if self.sync == "pulse":
-            from repro.net.events import DriftingClock
-
-            # Validates rho and pulse_period with the engine's own rules.
-            DriftingClock(0, 0, self.rho, self.pulse_period)
+        check_sync(self.sync, self.rho, self.pulse_period)
 
 
 @dataclass(frozen=True)
@@ -297,9 +282,6 @@ async def _worker_async(
     from repro import coin_by_name
     from repro.analysis.campaign import ADVERSARY_REGISTRY
     from repro.core.protocol import resolve_protocol
-    from repro.net.environment import Environment
-    from repro.net.node import Node
-    from repro.net.rng import SeedSequence
 
     n, f, k = spec.n, spec.f, spec.k
     protocol = resolve_protocol(spec.protocol)
@@ -309,145 +291,52 @@ async def _worker_async(
     adversary_cls = ADVERSARY_REGISTRY[spec.adversary]
     adversary = adversary_cls() if adversary_cls is not None else None
 
-    # Replay run_runtime's seed discipline over the FULL id space: every
-    # worker derives the same faulty set and scrambles every honest node
+    # Every worker builds the FULL world and scrambles every honest node
     # in id order, so the shared streams stay aligned with a
     # single-process run — then runs only its own block.
-    seeds = SeedSequence(spec.seed)
-    env = Environment(n, seeds.seed_for("env"))
-    adversary_rng = seeds.stream("adversary")
-    faulty_ids: frozenset[int] = frozenset()
-    if adversary is not None:
-        faulty_ids = _select_faulty(adversary, n, f, adversary_rng)
-        adversary.setup(n, f, faulty_ids, adversary_rng)
-        env.divergence_chooser = adversary.choose_divergent_outputs
-    honest_ids = [i for i in range(n) if i not in faulty_ids]
-    nodes = {
-        i: Node(
-            i, n, f, root_factory(i), seeds.stream("node", i), env,
-        )
-        for i in honest_ids
-    }
-    fault_rng = seeds.stream("faults")
+    world = build_world(n, f, root_factory, adversary=adversary, seed=spec.seed)
     if spec.scramble:
-        for node_id in honest_ids:
-            nodes[node_id].scramble(fault_rng)
+        world.scramble()
 
-    codec = resolve_codec(spec.codec)
     transport = TcpTransport(host=spec.host)
-    runtime_nodes: "list[RuntimeNode]" = []
-    process: "ByzantineProcess | None" = None
-    synchronizer_factory = None
-    if spec.sync == "pulse":
-        # Per-worker anchor: workers start at different wall instants, so
-        # deadlines are anchored locally and skew is a within-worker
-        # measurement (see ClusterResult.pulse_skew_s).
-        from repro.net.events import DriftingClock
-        from repro.runtime.sync import PulseBarrier
 
-        timing_seed = seeds.seed_for("timing")
-        anchor = asyncio.get_running_loop().time()
-
-        def synchronizer_factory(endpoint, expected, node_id):
-            return PulseBarrier(
-                endpoint,
-                expected,
-                clock=DriftingClock(
-                    timing_seed, node_id, spec.rho, spec.pulse_period
-                ),
-                anchor=anchor,
-                codec=codec,
-            )
-    try:
-        all_ids = frozenset(range(n))
-        my_honest = [i for i in owned_ids if i not in faulty_ids]
-        for node_id in my_honest:
-            endpoint = await transport.open(node_id)
-            if synchronizer_factory is not None:
-                synchronizer = synchronizer_factory(
-                    endpoint, all_ids, node_id
-                )
-            else:
-                synchronizer = BeatSynchronizer(
-                    endpoint, all_ids, beat_timeout=spec.beat_timeout,
-                    codec=codec,
-                )
-            runtime_nodes.append(
-                RuntimeNode(
-                    nodes[node_id], endpoint, synchronizer,
-                    probe=_default_probe,
-                )
-            )
-        if worker_index == 0 and adversary is not None and faulty_ids:
-            endpoints = {
-                node_id: await transport.open(node_id)
-                for node_id in sorted(faulty_ids)
-            }
-            process = ByzantineProcess(
-                adversary, endpoints, n=n, f=f, env=env, rng=adversary_rng,
-                beat_timeout=spec.beat_timeout, codec=codec,
-                synchronizer_factory=synchronizer_factory,
-            )
-
+    def exchange_addresses(opened: "list[int]") -> None:
         # Phase 1: report the ephemeral addresses this worker bound.
-        bound = list(my_honest)
-        if process is not None:
-            bound.extend(sorted(faulty_ids))
-        conn.send(
-            ("addrs", {i: transport.address_of(i) for i in bound})
-        )
-        # Phase 2: learn everyone else's and start the beat loops.
+        conn.send(("addrs", {i: transport.address_of(i) for i in opened}))
+        # Phase 2: learn everyone else's before the beat loops start.
         if not conn.poll(_PIPE_TIMEOUT):
             raise TransportError("orchestrator never sent the address book")
         transport.register_peers(conn.recv())
 
-        tasks = [node.run(spec.beats) for node in runtime_nodes]
-        if process is not None:
-            tasks.append(process.run(spec.beats))
-        await asyncio.gather(*tasks)
-    finally:
-        await transport.aclose()
+    # Pulse mode anchors deadlines per worker: workers start at different
+    # wall instants, so skew is a within-worker measurement (see
+    # ClusterResult.pulse_skew_s).
+    runtime_nodes, process = await _run_world(
+        world,
+        transport,
+        [i for i in owned_ids if i not in world.faulty_ids],
+        beats=spec.beats,
+        codec=resolve_codec(spec.codec),
+        beat_timeout=spec.beat_timeout,
+        sync=spec.sync,
+        rho=spec.rho,
+        pulse_period=spec.pulse_period,
+        probe=_default_probe,
+        host_byzantine=worker_index == 0,
+        on_open=exchange_addresses,
+    )
 
     payload: dict[str, Any] = {
         "traces": {
             rn.node.node_id: list(rn.trace) for rn in runtime_nodes
         },
-        "messages_sent": sum(rn.messages_sent for rn in runtime_nodes),
-        "frames_sent": sum(rn.frames_sent for rn in runtime_nodes),
-        "late_messages": sum(
-            rn.synchronizer.late_messages for rn in runtime_nodes
-        ),
-        "premature_messages": sum(
-            rn.synchronizer.premature_messages for rn in runtime_nodes
-        ),
-        "barrier_timeouts": sum(
-            rn.synchronizer.barrier_timeouts for rn in runtime_nodes
-        ),
-        "malformed_frames": sum(
-            rn.synchronizer.malformed_frames for rn in runtime_nodes
-        ) + transport.malformed_frames,
-        "frames_by_node": {
-            rn.node.node_id: rn.frames_sent for rn in runtime_nodes
-        },
+        "sync": spec.sync,
+        **_tally(runtime_nodes, process, transport),
     }
-    if process is not None:
-        payload["messages_sent"] += process.messages_sent
-        payload["frames_sent"] += process.frames_sent
-        payload["late_messages"] += process.late_messages
-        payload["premature_messages"] += process.premature_messages
-        payload["barrier_timeouts"] += process.barrier_timeouts
-    payload["sync"] = spec.sync
     if spec.sync == "pulse":
-        payload["pulse_timeouts"] = sum(
-            rn.synchronizer.pulse_timeouts for rn in runtime_nodes
-        ) + (process.pulse_timeouts if process is not None else 0)
-        closes = [rn.synchronizer.pulse_closes for rn in runtime_nodes]
         payload["pulse_skew_s"] = (
-            max(
-                max(c[beat] for c in closes) - min(c[beat] for c in closes)
-                for beat in range(spec.beats)
-            )
-            if len(closes) >= 2 and all(len(c) >= spec.beats for c in closes)
+            _pulse_skew(runtime_nodes, spec.beats)
+            if len(runtime_nodes) >= 2
             else None
         )
     payload["metrics"] = _worker_registry(payload).to_json()

@@ -1,15 +1,13 @@
 """Build and drive one live run: the runtime's ``Simulation`` counterpart.
 
-:func:`run_runtime` assembles the same objects a
-:class:`~repro.net.simulator.Simulation` would — correct
+:func:`run_runtime` gets its system — correct
 :class:`~repro.net.node.Node` towers, the shared
-:class:`~repro.net.environment.Environment`, the adversary — using the
-**identical** :class:`~repro.net.rng.SeedSequence` label derivations
-(``"env"``, ``"adversary"``, ``("node", i)``, ``"faults"``) and the
-identical construction order, then runs them as concurrent asyncio tasks
-over a transport instead of a lock-step beat loop.  That shared seed
-discipline is one half of the runtime determinism contract; the other half
-is the round barrier's canonical ``(sender, seq)`` inbox order
+:class:`~repro.net.environment.Environment`, the adversary and its
+faulty set — from :func:`~repro.net.world.build_world`, the same builder
+every simulator uses, then runs it as concurrent asyncio tasks over a
+transport instead of a lock-step beat loop.  That shared construction is
+one half of the runtime determinism contract; the other half is the
+round barrier's canonical ``(sender, seq)`` inbox order
 (:mod:`repro.runtime.sync`).  Together they make a zero-delay
 :class:`~repro.runtime.transport.LocalTransport` run reproduce the
 simulator's per-beat honest clock trajectories bit-for-bit — enforced for
@@ -27,19 +25,18 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.core.problem import converged_at
-from repro.errors import ConfigurationError, check_resilience
+from repro.errors import ConfigurationError
 from repro.net.component import Component
-from repro.net.environment import Environment
-from repro.net.node import Node
-from repro.net.rng import SeedSequence
+from repro.net.events import DriftingClock, _default_probe
 from repro.net.trace import BeatRecord, records_to_jsonl
+from repro.net.world import World, build_world
 from repro.runtime.byzantine import ByzantineProcess
 from repro.runtime.codec import Codec, DEFAULT_CODEC, resolve_codec
 from repro.runtime.node import RuntimeNode
-from repro.runtime.sync import BeatSynchronizer, PulseBarrier
+from repro.runtime.sync import BeatSynchronizer, PulseBarrier, check_sync
 from repro.runtime.transport import (
     DEFAULT_TRANSPORT,
     Transport,
@@ -47,31 +44,9 @@ from repro.runtime.transport import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - break import cycle, typing only
-    import random
-
     from repro.adversary.base import Adversary
 
 __all__ = ["RuntimeResult", "run_runtime"]
-
-
-def _default_probe(root: Component) -> Any:
-    """Snapshot the tower's clock value (every clock tower exposes one)."""
-    return getattr(root, "clock_value", None)
-
-
-def _select_faulty(
-    adversary: "Adversary", n: int, f: int, rng: "random.Random"
-) -> frozenset[int]:
-    """The adversary's faulty set, rejected unless it is at most ``f``
-    known node ids (shared by the single-process and cluster runners)."""
-    faulty = adversary.select_faulty(n, f, rng)
-    if len(faulty) > f:
-        raise ConfigurationError(
-            f"adversary corrupted {len(faulty)} nodes, but f={f}"
-        )
-    if any(i not in range(n) for i in faulty):
-        raise ConfigurationError("adversary corrupted unknown node ids")
-    return frozenset(faulty)
 
 
 def _history_rows(records: "tuple[BeatRecord, ...]") -> tuple[tuple, ...]:
@@ -175,28 +150,34 @@ class RuntimeResult:
         )
 
 
-async def _run_async(
+async def _run_world(
+    world: World,
     transport: Transport,
-    nodes: dict[int, Node],
-    byzantine: "tuple | None",
+    node_ids: "Iterable[int]",
+    *,
     beats: int,
-    beat_timeout: "float | None",
-    probe: Callable[[Component], Any],
-    n: int,
     codec: Codec,
+    beat_timeout: "float | None",
+    sync: str,
+    rho: float,
+    pulse_period: float,
+    probe: Callable[[Component], Any],
     clock: "Callable[[], float] | None" = None,
-    timing: "tuple | None" = None,
-    stall_ids: frozenset = frozenset(),
+    host_byzantine: bool = True,
+    on_open: "Callable[[list[int]], None] | None" = None,
 ) -> tuple[list[RuntimeNode], "ByzantineProcess | None"]:
-    runtime_nodes: list[RuntimeNode] = []
-    process: "ByzantineProcess | None" = None
-    synchronizer_factory = None
-    if timing is not None:
-        # Pulse mode: one shared anchor so every barrier's deadlines (and
-        # close offsets, hence the skew metric) live on one time axis.
-        from repro.net.events import DriftingClock
+    """Run one process's share of ``world`` over ``transport``.
 
-        timing_seed, rho, pulse_period = timing
+    Opens an endpoint and a barrier per honest id in ``node_ids``, plus —
+    when ``host_byzantine`` and the world has faulty ids — the Byzantine
+    process speaking for all of them.  ``on_open`` receives the opened
+    ids before the first beat (a cluster worker publishes their
+    addresses there).  Always closes the transport.
+    """
+    if sync == "pulse":
+        # One anchor per process, so co-located barriers' deadlines (and
+        # close offsets, hence the skew metric) live on one time axis.
+        timing_seed = world.seeds.seed_for("timing")
         anchor = asyncio.get_running_loop().time()
 
         def synchronizer_factory(endpoint, expected, node_id):
@@ -207,42 +188,42 @@ async def _run_async(
                 anchor=anchor,
                 codec=codec,
             )
+    else:
+        def synchronizer_factory(endpoint, expected, _node_id):
+            return BeatSynchronizer(
+                endpoint, expected, beat_timeout=beat_timeout, codec=codec
+            )
+
+    runtime_nodes: list[RuntimeNode] = []
+    process: "ByzantineProcess | None" = None
     try:
-        all_ids = frozenset(range(n))
-        for node_id, node in nodes.items():
-            if node_id in stall_ids:
-                continue  # stalled: never opens, never marks a beat
+        all_ids = frozenset(range(world.n))
+        for node_id in node_ids:
             endpoint = await transport.open(node_id)
-            if synchronizer_factory is not None:
-                synchronizer = synchronizer_factory(
-                    endpoint, all_ids, node_id
-                )
-            else:
-                synchronizer = BeatSynchronizer(
-                    endpoint, all_ids, beat_timeout=beat_timeout, codec=codec
-                )
             runtime_nodes.append(
                 RuntimeNode(
-                    node, endpoint, synchronizer, probe=probe, clock=clock
+                    world.nodes[node_id],
+                    endpoint,
+                    synchronizer_factory(endpoint, all_ids, node_id),
+                    probe=probe,
+                    clock=clock,
                 )
             )
-        if byzantine is not None:
-            adversary, faulty_ids, env, rng = byzantine
+        opened = [rn.node.node_id for rn in runtime_nodes]
+        if host_byzantine and world.adversary is not None and world.faulty_ids:
             endpoints = {
                 node_id: await transport.open(node_id)
-                for node_id in sorted(faulty_ids)
+                for node_id in sorted(world.faulty_ids)
             }
+            opened.extend(endpoints)
             process = ByzantineProcess(
-                adversary,
+                world,
                 endpoints,
-                n=n,
-                f=len(faulty_ids),
-                env=env,
-                rng=rng,
-                beat_timeout=beat_timeout,
                 codec=codec,
                 synchronizer_factory=synchronizer_factory,
             )
+        if on_open is not None:
+            on_open(opened)
         tasks = [node.run(beats) for node in runtime_nodes]
         if process is not None:
             tasks.append(process.run(beats))
@@ -250,6 +231,52 @@ async def _run_async(
     finally:
         await transport.aclose()
     return runtime_nodes, process
+
+
+def _tally(
+    runtime_nodes: "list[RuntimeNode]",
+    process: "ByzantineProcess | None",
+    transport: Transport,
+) -> dict[str, Any]:
+    """One process's wire and barrier counters, summed over its honest
+    nodes and its Byzantine process (the result and payload fields)."""
+    barriers = [rn.synchronizer for rn in runtime_nodes]
+    counters = {
+        "messages_sent": sum(rn.messages_sent for rn in runtime_nodes),
+        "frames_sent": sum(rn.frames_sent for rn in runtime_nodes),
+        "late_messages": sum(b.late_messages for b in barriers),
+        "premature_messages": sum(b.premature_messages for b in barriers),
+        "barrier_timeouts": sum(b.barrier_timeouts for b in barriers),
+        "pulse_timeouts": sum(
+            getattr(b, "pulse_timeouts", 0) for b in barriers
+        ),
+        "malformed_frames": sum(b.malformed_frames for b in barriers)
+        + getattr(transport, "malformed_frames", 0),
+        "frames_by_node": {
+            rn.node.node_id: rn.frames_sent for rn in runtime_nodes
+        },
+    }
+    if process is not None:
+        for name in (
+            "messages_sent", "frames_sent", "late_messages",
+            "premature_messages", "barrier_timeouts", "pulse_timeouts",
+        ):
+            counters[name] += getattr(process, name)
+    return counters
+
+
+def _pulse_skew(
+    runtime_nodes: "list[RuntimeNode]", beats: int
+) -> "float | None":
+    """Max per-beat spread of the pulse barriers' close offsets, or
+    ``None`` when no barrier ran or one closed fewer than ``beats``."""
+    closes = [rn.synchronizer.pulse_closes for rn in runtime_nodes]
+    if not closes or any(len(c) < beats for c in closes):
+        return None
+    return max(
+        max(c[beat] for c in closes) - min(c[beat] for c in closes)
+        for beat in range(beats)
+    )
 
 
 def run_runtime(
@@ -269,15 +296,14 @@ def run_runtime(
     pulse_period: float = 0.2,
     rho: float = 0.0,
     stall_ids: "tuple[int, ...]" = (),
-    root_path: str = "root",
     probe: Callable[[Component], Any] = _default_probe,
     metrics: "object | None" = None,
     recorder: "object | None" = None,
 ) -> RuntimeResult:
     """Run the protocol live for ``beats`` beats; return the trajectory.
 
-    Mirrors the :class:`~repro.net.simulator.Simulation` constructor's
-    parameters and seed discipline (see the module docstring); ``beats``
+    Takes the :class:`~repro.net.simulator.Simulation` constructor's
+    parameters and builds the same world (see the module docstring); ``beats``
     is the run's duration — there is no early stopping, because no live
     node can locally know the *global* convergence beat.  ``k`` enables
     convergence reporting on the collected records.  ``codec`` picks the
@@ -312,76 +338,41 @@ def run_runtime(
     """
     if beats < 1:
         raise ConfigurationError(f"need at least one beat, got {beats}")
-    if sync not in ("beat", "pulse"):
-        raise ConfigurationError(
-            f"unknown sync mode {sync!r}: expected 'beat' or 'pulse'"
-        )
-    if sync == "beat" and rho:
-        raise ConfigurationError(
-            "clock drift (rho) only applies to the pulse barrier; "
-            "pass sync='pulse'"
-        )
-    check_resilience(n, f)
-    seeds = SeedSequence(seed)
-    timing = None
-    if sync == "pulse":
-        # DriftingClock validates rho and pulse_period at construction;
-        # fail fast here, before any transport work.
-        from repro.net.events import DriftingClock
-
-        timing_seed = seeds.seed_for("timing")
-        DriftingClock(timing_seed, 0, rho, pulse_period)
-        timing = (timing_seed, rho, pulse_period)
-    env = Environment(n, seeds.seed_for("env"))
-    adversary_rng = seeds.stream("adversary")
-    byzantine: "tuple | None" = None
-    if adversary is not None:
-        faulty_ids = _select_faulty(adversary, n, f, adversary_rng)
-        adversary.setup(n, f, faulty_ids, adversary_rng)
-        env.divergence_chooser = adversary.choose_divergent_outputs
-        if faulty_ids:
-            byzantine = (adversary, faulty_ids, env, adversary_rng)
-    else:
-        faulty_ids = frozenset()
-    honest_ids = [i for i in range(n) if i not in faulty_ids]
+    check_sync(sync, rho, pulse_period)
+    world = build_world(n, f, root_factory, adversary=adversary, seed=seed)
     stalled = frozenset(stall_ids)
-    bad_stalls = sorted(i for i in stalled if i not in honest_ids)
+    bad_stalls = sorted(i for i in stalled if i not in world.nodes)
     if bad_stalls:
         raise ConfigurationError(
             f"stall_ids {bad_stalls} are not honest node ids: only "
             "correct processes can be stalled (the adversary already "
             "speaks for the faulty ones)"
         )
-    if stalled and len(stalled) >= len(honest_ids):
+    if stalled and len(stalled) >= len(world.honest_ids):
         raise ConfigurationError(
             "cannot stall every honest node: nobody would be left to "
             "drive the run to termination"
         )
-    nodes = {
-        i: Node(
-            i,
-            n,
-            f,
-            root_factory(i),
-            seeds.stream("node", i),
-            env,
-            root_path=root_path,
-        )
-        for i in honest_ids
-    }
-    fault_rng = seeds.stream("faults")
     if scramble:
-        for node_id in honest_ids:
-            nodes[node_id].scramble(fault_rng)
+        world.scramble()
 
     transport_obj = resolve_transport(transport)
     codec_obj = resolve_codec(codec)
-    clock = getattr(recorder, "clock", None)
     started = time.perf_counter()
     runtime_nodes, process = asyncio.run(
-        _run_async(
-            transport_obj, nodes, byzantine, beats, beat_timeout, probe, n,
-            codec_obj, clock, timing, stalled,
+        _run_world(
+            world,
+            transport_obj,
+            # Stalled nodes never open an endpoint nor mark a beat.
+            [i for i in world.honest_ids if i not in stalled],
+            beats=beats,
+            codec=codec_obj,
+            beat_timeout=beat_timeout,
+            sync=sync,
+            rho=rho,
+            pulse_period=pulse_period,
+            probe=probe,
+            clock=getattr(recorder, "clock", None),
         )
     )
     elapsed = time.perf_counter() - started
@@ -400,45 +391,14 @@ def run_runtime(
     converged = (
         converged_at(_history_rows(records), k) if k is not None else None
     )
-    messages = sum(rn.messages_sent for rn in runtime_nodes)
-    frames = sum(rn.frames_sent for rn in runtime_nodes)
-    late = sum(rn.synchronizer.late_messages for rn in runtime_nodes)
-    premature = sum(
-        rn.synchronizer.premature_messages for rn in runtime_nodes
-    )
-    timeouts = sum(rn.synchronizer.barrier_timeouts for rn in runtime_nodes)
-    malformed = sum(
-        rn.synchronizer.malformed_frames for rn in runtime_nodes
-    )
-    if process is not None:
-        messages += process.messages_sent
-        frames += process.frames_sent
-        late += process.late_messages
-        premature += process.premature_messages
-        timeouts += process.barrier_timeouts
-    if hasattr(transport_obj, "malformed_frames"):
-        malformed += transport_obj.malformed_frames
-    frames_by_node = {
-        rn.node.node_id: rn.frames_sent for rn in runtime_nodes
-    }
-    pulse_timeouts = 0
     pulse_skew = None
     converged_time = None
     if sync == "pulse":
-        pulse_timeouts = sum(
-            rn.synchronizer.pulse_timeouts for rn in runtime_nodes
-        )
-        if process is not None:
-            pulse_timeouts += process.pulse_timeouts
         # All barriers share one anchor on one event loop (local and TCP
         # runs alike are in-process), so close offsets are comparable:
         # the per-beat spread is the run's realized pulse skew.
+        pulse_skew = _pulse_skew(runtime_nodes, beats)
         closes = [rn.synchronizer.pulse_closes for rn in runtime_nodes]
-        if closes and all(len(c) >= beats for c in closes):
-            pulse_skew = max(
-                max(c[beat] for c in closes) - min(c[beat] for c in closes)
-                for beat in range(beats)
-            )
         if converged is not None and closes:
             converged_time = max(
                 c[converged] for c in closes if len(c) > converged
@@ -449,19 +409,12 @@ def run_runtime(
         beats_run=beats,
         records=records,
         converged_beat=converged,
-        messages_sent=messages,
-        late_messages=late,
-        premature_messages=premature,
-        barrier_timeouts=timeouts,
         elapsed_s=elapsed,
         codec=codec_obj.name,
-        frames_sent=frames,
-        malformed_frames=malformed,
-        frames_by_node=frames_by_node,
         sync=sync,
-        pulse_timeouts=pulse_timeouts,
         pulse_skew_s=pulse_skew,
         converged_time_s=converged_time,
+        **_tally(runtime_nodes, process, transport_obj),
     )
     if metrics is not None:
         from repro.obs.metrics import record_runtime

@@ -35,12 +35,13 @@ import asyncio
 from typing import Iterable
 
 from repro.errors import ConfigurationError
+from repro.net.events import DriftingClock
 from repro.net.message import Envelope
 from repro.runtime.codec import Codec, DEFAULT_CODEC, resolve_codec
 from repro.runtime.transport import Endpoint
 from repro.runtime.wire import END, MSG, MAX_FRAME_LEN, Frame, WireError
 
-__all__ = ["MAX_LOOKAHEAD", "BeatSynchronizer", "PulseBarrier"]
+__all__ = ["MAX_LOOKAHEAD", "BeatSynchronizer", "PulseBarrier", "check_sync"]
 
 #: Buffering horizon, in beats: frames tagged this far past the current
 #: beat are discarded rather than parked.  Honest peers drift by less
@@ -50,6 +51,24 @@ MAX_LOOKAHEAD = 64
 
 #: Sort key + envelope, as buffered per beat.
 Entry = tuple[tuple[int, int], Envelope]
+
+
+def check_sync(sync: str, rho: float, pulse_period: float) -> None:
+    """Validate a run's barrier mode: ``"beat"`` (fixed timeout, no
+    drift) or ``"pulse"`` (drifting clocks; ``rho`` and ``pulse_period``
+    checked with the event engine's own
+    :class:`~repro.net.events.DriftingClock` rules)."""
+    if sync not in ("beat", "pulse"):
+        raise ConfigurationError(
+            f"unknown sync mode {sync!r}: expected 'beat' or 'pulse'"
+        )
+    if sync == "beat" and rho:
+        raise ConfigurationError(
+            "clock drift (rho) only applies to the pulse barrier; "
+            "use sync='pulse'"
+        )
+    if sync == "pulse":
+        DriftingClock(0, 0, rho, pulse_period)
 
 
 class BeatSynchronizer:

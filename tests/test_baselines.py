@@ -15,7 +15,7 @@ from repro.adversary.strategies import (
     SplitWorldAdversary,
 )
 from repro.analysis.convergence import ClockConvergenceMonitor
-from repro.baselines.det_clock_sync import DeterministicClockSync
+from repro.baselines.turpin_coan import TurpinCoanClock as DeterministicClockSync
 from repro.baselines.dolev_welch import DolevWelchClock
 from repro.baselines.phase_king import PhaseKingState, phase_king_rounds
 from repro.baselines.turpin_coan import TurpinCoanInstance, turpin_coan_rounds

@@ -269,7 +269,9 @@ class TestEngineModeSelection:
         assert not sim.engine.vectorized
 
     def test_unregistered_root_type_builds_no_program(self):
-        from repro.baselines.det_clock_sync import DeterministicClockSync
+        from repro.baselines.turpin_coan import (
+            TurpinCoanClock as DeterministicClockSync,
+        )
 
         sim = Simulation(
             4, 1, lambda i: DeterministicClockSync(4, 1, 6), engine="bulk"
