@@ -47,9 +47,11 @@ enforces this differentially, mirroring ``tests/test_engines.py``):
   runs under them execute on the inherited :class:`FastEngine` path
   (which is itself differentially pinned against the reference).
 * **Per-message traffic still works.**  Byzantine envelopes and
-  phantoms enter a per-receiver *dirty* merge that reproduces the
-  reference router's sender-sorted, stage-ordered delivery exactly;
-  only the affected receivers pay the per-object cost.
+  phantoms are routed by the very :class:`FastEngine` helpers its own
+  beat uses (``_route_byzantine``, ``_stash_phantoms``) and enter a
+  per-receiver *dirty* merge that reproduces the reference router's
+  sender-sorted, stage-ordered delivery exactly; only the affected
+  receivers pay the per-object cost.
 
 Protocols opt in by registering a :class:`BulkProgram` builder for their
 root component type (:func:`register_bulk_program`); the ss-Byz
@@ -84,7 +86,7 @@ from repro.core.majority import (
     most_frequent,
     value_with_count_at_least,
 )
-from repro.net.engine import ENGINES, FastEngine, _craft_byzantine
+from repro.net.engine import ENGINES, FastEngine
 from repro.net.linkmodel import PartitionLinks
 from repro.net.message import Envelope
 from repro.net.node import ROOT_PATH
@@ -951,17 +953,12 @@ class BulkEngine(FastEngine):
             senders = lane.sender_count()
             if senders:
                 stats.record_fanout(lane.path, beat, n * senders, honest=True)
-        link = self._link
-        partitioned = (not link.is_perfect) and link.partitioned_at(beat)
         faulty = self._faulty
         adversary_active = simulation.adversary is not None and bool(faulty)
-        # extras[receiver][path] = [((sender, stage, seq), envelope), ...]
-        extras: dict[int, dict[str, list]] = {}
-
-        def stash(receiver, path, key, envelope):
-            extras.setdefault(receiver, {}).setdefault(path, []).append(
-                (key, envelope)
-            )
+        # Perfect links never act, and a partition acts exactly inside its
+        # window (it never delays, so nothing is ever in flight).
+        linked = self._linked_at(beat)
+        extras, dispatch = self._dispatcher(nodes, beat, linked)
 
         # -- adversary phase ----------------------------------------------
         if adversary_active:
@@ -980,41 +977,13 @@ class BulkEngine(FastEngine):
                                     beat,
                                 )
                             )
-            for seq, envelope in enumerate(
-                _craft_byzantine(simulation, beat, visible)
-            ):
-                stats.record(envelope, honest=False)
-                receiver = envelope.receiver
-                if receiver not in nodes:
-                    continue  # dead letter (faulty receiver)
-                if (
-                    partitioned
-                    and link.classify(envelope.sender, receiver, beat)
-                    is None
-                ):
-                    stats.record_dropped(envelope)
-                    continue
-                stash(
-                    receiver, envelope.path,
-                    (envelope.sender, self._STAGE_REGULAR, seq), envelope,
-                )
-
-        # -- phantom delivery (bypasses the link layer) --------------------
-        if self._pending_phantoms:
-            phantoms, self._pending_phantoms = self._pending_phantoms, []
-            for seq, envelope in enumerate(phantoms):
-                stats.record(envelope, honest=False)
-                if envelope.receiver in nodes:
-                    stash(
-                        envelope.receiver, envelope.path,
-                        (envelope.sender, self._STAGE_PHANTOM, seq),
-                        envelope,
-                    )
+            self._route_byzantine(simulation, beat, visible, dispatch)
+        self._stash_phantoms(nodes, extras)
 
         # -- partition structure + whole-lane drop accounting --------------
         group_of = None
-        if partitioned:
-            group_of = [link.group_of(node_id) for node_id in ids]
+        if linked:
+            group_of = [self._link.group_of(node_id) for node_id in ids]
             group_sizes = Counter(group_of)
             honest_total = len(ids)
             lost = 0

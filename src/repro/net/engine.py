@@ -14,8 +14,9 @@ driving the update phase.  Three engines ship:
   specification the fast path is differentially tested against.
 * :class:`FastEngine` — the production path.  Component paths are interned
   to integer ids when the engine binds to a simulation; honest broadcasts
-  are recorded as a single fan-out record and expanded into one *shared*
-  envelope (and one shared inbox list) per beat instead of Θ(n) copies;
+  are recorded as a single fan-out record and, on any beat the link layer
+  leaves alone, expanded into one *shared* envelope (and one shared inbox
+  list) instead of Θ(n) copies;
   per-node inbox buffers are reused across beats; and the per-inbox
   sender sort is skipped whenever envelopes were already produced in
   sender order (always true for pure-broadcast inboxes, because nodes run
@@ -39,9 +40,14 @@ Each engine also owns the simulation's *link layer*
 envelope bound for a correct node is classified by the bound
 :class:`~repro.net.linkmodel.LinkModel` — delivered this beat, parked in
 the engine's per-beat in-flight queue to land in a future beat's inboxes,
-or dropped.  Under :class:`~repro.net.linkmodel.PerfectLinks` (the
-default) both engines run their original delivery code untouched, which
-is what makes the perfect model a provable no-op.  Under any other model
+or dropped.  An engine asks once per beat whether the link layer acts at
+all: not under :class:`~repro.net.linkmodel.PerfectLinks` (the default),
+nor on a beat the model certifies as unaffected while nothing is in
+flight.  On such a beat no envelope is classified — every one is
+delivered as sent — which is what makes the perfect model a provable
+no-op.  :class:`FastEngine` runs one beat body either way: the only
+difference is whether a broadcast rides one shared envelope or expands
+into per-receiver copies that each pass the link model.  Under any model
 the engines stay differentially equivalent: link decisions are keyed
 randomness (identical whatever order envelopes are classified in), and
 delayed arrivals merge into inboxes in a fixed stage order — for one
@@ -273,15 +279,19 @@ class FastEngine:
     """Fan-out-sharing engine: O(messages) work instead of O(copies).
 
     Honest broadcasts dominate traffic in every protocol of this library
-    (Θ(n²) copies per beat).  This engine materializes each one as a single
-    shared :class:`Envelope` (``receiver=BROADCAST``) appended to a single
-    shared per-path inbox list that every node's update phase reads —
-    honest protocol code never inspects ``receiver`` and never mutates its
-    inbox, which makes the sharing observationally equivalent to the
-    reference engine's per-receiver copies.  Point-to-point sends,
-    Byzantine traffic and phantoms are rarer; they take a slower merge path
-    that reproduces the reference engine's exact sender-sorted delivery
-    order (see ``_SORT_*`` below).
+    (Θ(n²) copies per beat).  On a beat the link layer leaves alone, this
+    engine materializes each one as a single shared :class:`Envelope`
+    (``receiver=BROADCAST``) appended to a single shared per-path inbox
+    list that every node's update phase reads — honest protocol code
+    never inspects ``receiver`` and never mutates its inbox, which makes
+    the sharing observationally equivalent to the reference engine's
+    per-receiver copies.  On a beat the link layer acts on, a broadcast
+    expands into per-receiver copies instead, because lossy or delaying
+    links make inboxes genuinely diverge.  Everything that cannot ride
+    the shared lists — point-to-point sends, Byzantine traffic, delayed
+    arrivals, phantoms — goes through one per-receiver ``dispatch`` and
+    one merge that reproduces the reference engine's exact sender-sorted
+    delivery order (see ``_STAGE_*`` below).
     """
 
     name = "fast"
@@ -356,29 +366,101 @@ class FastEngine:
         for name, child in component.children.items():
             self._intern_tree(child, f"{path}/{name}")
 
-    # -- phantom plumbing --------------------------------------------------
+    # -- per-receiver routing (shared with the bulk engine) ----------------
 
     def inject_phantoms(self, envelopes: list[Envelope]) -> None:
         self._pending_phantoms.extend(envelopes)
 
+    def _linked_at(self, beat: int) -> bool:
+        """Whether the link layer acts on ``beat``.
+
+        It does not under perfect links, nor on a beat the link model
+        certifies as unaffected (e.g. a healed partition) while nothing is
+        in flight — those beats share one envelope per broadcast.
+        """
+        link = self._link
+        return not (
+            link.is_perfect or (not self._in_flight and link.perfect_at(beat))
+        )
+
+    def _dispatcher(self, nodes, beat: int, linked: bool):
+        """One beat's per-receiver traffic table and its router.
+
+        Returns ``(extras, dispatch)``: ``extras[receiver][path]`` collects
+        ``((sender, stage, seq), envelope)`` entries, and
+        ``dispatch(envelope, key)`` files one envelope there.  Traffic to
+        a faulty receiver is a dead letter (adversary view only).  When
+        ``linked``, each non-loopback envelope is first classified by the
+        link model: dropped, parked in the in-flight queue, or stashed.
+        """
+        extras: dict[int, dict[str, list[tuple[tuple[int, int, int], Envelope]]]] = {}
+        stats = self.stats
+        link = self._link
+
+        def dispatch(envelope: Envelope, key: tuple[int, int, int]) -> None:
+            receiver = envelope.receiver
+            if receiver not in nodes:
+                return
+            if linked and envelope.sender != receiver:  # loopback is perfect
+                delay = link.classify(envelope.sender, receiver, beat)
+                if delay is None:
+                    stats.record_dropped(envelope)
+                    return
+                if delay:
+                    stats.record_delayed(envelope)
+                    self._flight_seq += 1
+                    self._in_flight.setdefault(beat + delay, []).append(
+                        (
+                            receiver,
+                            envelope.path,
+                            (envelope.sender, self._STAGE_DELAYED,
+                             self._flight_seq),
+                            envelope,
+                        )
+                    )
+                    return
+            extras.setdefault(receiver, {}).setdefault(
+                envelope.path, []
+            ).append((key, envelope))
+
+        return extras, dispatch
+
+    def _route_byzantine(
+        self, simulation: "Simulation", beat: int, visible: list[Envelope],
+        dispatch,
+    ) -> None:
+        """Run the adversary phase on ``visible``; dispatch its traffic."""
+        stats = self.stats
+        for seq, envelope in enumerate(
+            _craft_byzantine(simulation, beat, visible)
+        ):
+            stats.record(envelope, honest=False)
+            dispatch(envelope, (envelope.sender, self._STAGE_REGULAR, seq))
+
+    def _stash_phantoms(self, nodes, extras) -> None:
+        """Deliver the queued phantoms; they bypass the link layer."""
+        if not self._pending_phantoms:
+            return
+        phantoms, self._pending_phantoms = self._pending_phantoms, []
+        stats = self.stats
+        for seq, envelope in enumerate(phantoms):
+            stats.record(envelope, honest=False)
+            if envelope.receiver in nodes:
+                extras.setdefault(envelope.receiver, {}).setdefault(
+                    envelope.path, []
+                ).append(((envelope.sender, self._STAGE_PHANTOM, seq), envelope))
+
     # -- beat execution ----------------------------------------------------
 
     def execute_beat(self, simulation: "Simulation", beat: int) -> None:
-        # The fan-out-sharing path runs under perfect links — and on any
-        # beat the link model certifies as unaffected (e.g. a healed
-        # partition) while nothing is in flight.
-        if not (
-            self._link.is_perfect
-            or (not self._in_flight and self._link.perfect_at(beat))
-        ):
-            self._execute_linked_beat(simulation, beat)
-            return
+        linked = self._linked_at(beat)
         n = self._n
         nodes = simulation.nodes
         # Churn: send and update phases run on *active* nodes only, while
-        # receiver-presence checks stay on all correct nodes — traffic to a
-        # crashed node is still counted and stashed (in an inbox nobody
-        # reads), exactly as the reference engine delivers it.
+        # dispatch still routes (and, when linked, classifies) traffic to
+        # every correct node — the network does not know a host is down,
+        # so a crashed node's inbox fills exactly as the reference
+        # engine's does, and nobody reads it.
         active = simulation.active_nodes()
         stats = self.stats
         faulty = self._faulty
@@ -392,9 +474,8 @@ class FastEngine:
             shared_envs[path_id].clear()
             shared_keys[path_id].clear()
         touched.clear()
-        # extras[receiver][path] = [((sender, stage, seq), envelope), ...]
-        # — the rare per-receiver traffic that cannot ride the shared lists.
-        extras: dict[int, dict[str, list[tuple[tuple[int, int, int], Envelope]]]] = {}
+        extras, dispatch = self._dispatcher(nodes, beat, linked)
+        regular = self._STAGE_REGULAR
         visible: list[Envelope] = []
 
         # -- send phase ----------------------------------------------------
@@ -404,55 +485,45 @@ class FastEngine:
         for node_id, node in active.items():
             records = node.send_phase(beat, self._outboxes[node_id])
             for seq, (path, payload, receiver) in enumerate(records):
-                if receiver is None:  # full broadcast: one shared fan-out
-                    path_id = path_ids.get(path)
-                    if path_id is None:
-                        path_id = self._intern(path)
-                    envs = shared_envs[path_id]
-                    if not envs:
-                        touched.append(path_id)
-                    envs.append(Envelope(node_id, BROADCAST, path, payload, beat))
-                    shared_keys[path_id].append((node_id, seq))
-                    stats.record_fanout(path, beat, n, honest=True)
-                    if adversary_active:
-                        for faulty_id in faulty:
-                            visible.append(
-                                Envelope(node_id, faulty_id, path, payload, beat)
-                            )
-                else:
+                if receiver is not None:  # point-to-point
                     envelope = Envelope(node_id, receiver, path, payload, beat)
                     stats.record(envelope, honest=True)
                     if adversary_active and receiver in faulty_set:
                         visible.append(envelope)
-                    if receiver in nodes:
-                        extras.setdefault(receiver, {}).setdefault(
-                            path, []
-                        ).append(((node_id, self._STAGE_REGULAR, seq), envelope))
+                    dispatch(envelope, (node_id, regular, seq))
+                    continue
+                stats.record_fanout(path, beat, n, honest=True)
+                if linked:  # full broadcast: one classified copy per link
+                    key = (node_id, regular, seq)
+                    for target in range(n):
+                        envelope = Envelope(node_id, target, path, payload, beat)
+                        if adversary_active and target in faulty_set:
+                            visible.append(envelope)
+                        dispatch(envelope, key)
+                    continue
+                # Full broadcast: one shared fan-out.
+                path_id = path_ids.get(path)
+                if path_id is None:
+                    path_id = self._intern(path)
+                envs = shared_envs[path_id]
+                if not envs:
+                    touched.append(path_id)
+                envs.append(Envelope(node_id, BROADCAST, path, payload, beat))
+                shared_keys[path_id].append((node_id, seq))
+                if adversary_active:
+                    for faulty_id in faulty:
+                        visible.append(
+                            Envelope(node_id, faulty_id, path, payload, beat)
+                        )
 
-        # -- adversary phase ----------------------------------------------
+        # -- adversary phase, delayed arrivals now due, phantoms ----------
         if adversary_active:
-            for seq, envelope in enumerate(
-                _craft_byzantine(simulation, beat, visible)
-            ):
-                stats.record(envelope, honest=False)
-                if envelope.receiver in nodes:
-                    extras.setdefault(envelope.receiver, {}).setdefault(
-                        envelope.path, []
-                    ).append(
-                        ((envelope.sender, self._STAGE_REGULAR, seq), envelope)
-                    )
-
-        # -- phantom delivery ---------------------------------------------
-        if self._pending_phantoms:
-            phantoms, self._pending_phantoms = self._pending_phantoms, []
-            for seq, envelope in enumerate(phantoms):
-                stats.record(envelope, honest=False)
-                if envelope.receiver in nodes:
-                    extras.setdefault(envelope.receiver, {}).setdefault(
-                        envelope.path, []
-                    ).append(
-                        ((envelope.sender, self._STAGE_PHANTOM, seq), envelope)
-                    )
+            self._route_byzantine(simulation, beat, visible, dispatch)
+        for receiver, path, key, envelope in self._in_flight.pop(beat, ()):
+            extras.setdefault(receiver, {}).setdefault(path, []).append(
+                (key, envelope)
+            )
+        self._stash_phantoms(nodes, extras)
 
         # -- delivery + update phase --------------------------------------
         shared_inbox = self._shared_inbox
@@ -478,11 +549,10 @@ class FastEngine:
             for path, entries in node_extras.items():
                 base = shared_inbox.get(path)
                 if base is not None:
-                    path_id = path_ids[path]
                     merged = [
-                        ((sender, self._STAGE_REGULAR, seq), envelope)
+                        ((sender, regular, seq), envelope)
                         for (sender, seq), envelope in zip(
-                            shared_keys[path_id], base
+                            shared_keys[path_ids[path]], base
                         )
                     ]
                     merged.extend(entries)
@@ -491,124 +561,6 @@ class FastEngine:
                 if len(merged) > 1:
                     merged.sort(key=lambda item: item[0])
                 inbox[path] = [envelope for _, envelope in merged]
-            node.update_phase(beat, inbox)
-
-    # -- linked beat execution ---------------------------------------------
-
-    def _execute_linked_beat(self, simulation: "Simulation", beat: int) -> None:
-        """One beat under a non-trivial link model.
-
-        Fan-out sharing is off here: a lossy or delaying link makes
-        per-receiver inboxes genuinely diverge, so every copy is expanded
-        and classified individually — exactly what the reference engine
-        does, which keeps the engines differentially equivalent under any
-        link model (link decisions are keyed randomness, so classification
-        *order* cannot skew them).
-        """
-        n = self._n
-        nodes = simulation.nodes
-        # Churn: active nodes send and update; dispatch still classifies
-        # traffic bound for inactive correct receivers (the network does
-        # not know a host is down), matching the reference engine's link
-        # call sequence bit for bit.
-        active = simulation.active_nodes()
-        stats = self.stats
-        link = self._link
-        faulty_set = self._faulty_set
-        adversary_active = simulation.adversary is not None and bool(self._faulty)
-        # extras[receiver][path] = [((sender, stage, seq), envelope), ...]
-        extras: dict[int, dict[str, list[tuple[tuple[int, int, int], Envelope]]]] = {}
-        visible: list[Envelope] = []
-
-        def dispatch(envelope: Envelope, key: tuple[int, int, int]) -> None:
-            receiver = envelope.receiver
-            if receiver not in nodes:
-                return  # dead letter (faulty receiver): adversary view only
-            if envelope.sender == receiver:
-                delay = 0  # loopback is always perfect
-            else:
-                delay = link.classify(envelope.sender, receiver, beat)
-            if delay is None:
-                stats.record_dropped(envelope)
-                return
-            if delay:
-                stats.record_delayed(envelope)
-                self._flight_seq += 1
-                self._in_flight.setdefault(beat + delay, []).append(
-                    (
-                        receiver,
-                        envelope.path,
-                        (envelope.sender, self._STAGE_DELAYED, self._flight_seq),
-                        envelope,
-                    )
-                )
-                return
-            extras.setdefault(receiver, {}).setdefault(
-                envelope.path, []
-            ).append((key, envelope))
-
-        # -- send phase ----------------------------------------------------
-        for node_id, node in active.items():
-            records = node.send_phase(beat, self._outboxes[node_id])
-            for seq, (path, payload, receiver) in enumerate(records):
-                if receiver is None:  # full broadcast: expand per receiver
-                    stats.record_fanout(path, beat, n, honest=True)
-                    key = (node_id, self._STAGE_REGULAR, seq)
-                    for target in range(n):
-                        envelope = Envelope(node_id, target, path, payload, beat)
-                        if adversary_active and target in faulty_set:
-                            visible.append(envelope)
-                        dispatch(envelope, key)
-                else:
-                    envelope = Envelope(node_id, receiver, path, payload, beat)
-                    stats.record(envelope, honest=True)
-                    if adversary_active and receiver in faulty_set:
-                        visible.append(envelope)
-                    dispatch(envelope, (node_id, self._STAGE_REGULAR, seq))
-
-        # -- adversary phase ----------------------------------------------
-        if adversary_active:
-            for seq, envelope in enumerate(
-                _craft_byzantine(simulation, beat, visible)
-            ):
-                stats.record(envelope, honest=False)
-                dispatch(envelope, (envelope.sender, self._STAGE_REGULAR, seq))
-
-        # -- delayed arrivals now due -------------------------------------
-        for receiver, path, key, envelope in self._in_flight.pop(beat, ()):
-            extras.setdefault(receiver, {}).setdefault(path, []).append(
-                (key, envelope)
-            )
-
-        # -- phantom delivery ---------------------------------------------
-        if self._pending_phantoms:
-            phantoms, self._pending_phantoms = self._pending_phantoms, []
-            for seq, envelope in enumerate(phantoms):
-                stats.record(envelope, honest=False)
-                if envelope.receiver in nodes:
-                    extras.setdefault(envelope.receiver, {}).setdefault(
-                        envelope.path, []
-                    ).append(
-                        ((envelope.sender, self._STAGE_PHANTOM, seq), envelope)
-                    )
-
-        # -- delivery + update phase --------------------------------------
-        empty_inbox = self._shared_inbox
-        empty_inbox.clear()
-        for node_id, node in active.items():
-            node_extras = extras.get(node_id)
-            if node_extras is None:
-                node.update_phase(beat, empty_inbox)
-                continue
-            inbox = self._merge_inboxes.get(node_id)
-            if inbox is None:
-                inbox = self._merge_inboxes[node_id] = {}
-            else:
-                inbox.clear()
-            for path, entries in node_extras.items():
-                if len(entries) > 1:
-                    entries.sort(key=lambda item: item[0])
-                inbox[path] = [envelope for _, envelope in entries]
             node.update_phase(beat, inbox)
 
 

@@ -13,8 +13,8 @@ individually — deliver now, deliver ``d`` beats late, or drop.
 Five models ship:
 
 * :class:`PerfectLinks` — Definition 2.2 verbatim.  It is *provably* a
-  no-op: engines check :attr:`LinkModel.is_perfect` and run their original
-  delivery path untouched, so perfect-link runs are bit-identical to the
+  no-op: engines check :attr:`LinkModel.is_perfect` and classify no
+  envelope at all, so perfect-link runs are bit-identical to the
   pre-link-layer behavior (``tests/test_linkmodel.py`` enforces this
   differentially, and additionally proves the *linked* machinery itself is
   an identity when the delay bound is zero).

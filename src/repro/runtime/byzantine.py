@@ -75,7 +75,9 @@ class ByzantineProcess:
             i for i in range(world.n) if i not in self.faulty_ids
         ]
         self.messages_sent = 0
-        self.frames_sent = 0
+        #: Wire units shipped, per faulty id (the runtime's per-node
+        #: frame counts cover every sender, honest or not).
+        self.frames_by_node = dict.fromkeys(self.endpoints, 0)
         self.dead_letters = 0
         # One barrier per faulty endpoint, each closed by the honest
         # markers alone: the faulty ids' own markers are this process's
@@ -84,6 +86,10 @@ class ByzantineProcess:
             node_id: synchronizer_factory(endpoint, self.honest_ids, node_id)
             for node_id, endpoint in self.endpoints.items()
         }
+
+    @property
+    def frames_sent(self) -> int:
+        return sum(self.frames_by_node.values())
 
     @property
     def late_messages(self) -> int:
@@ -157,5 +163,5 @@ class ByzantineProcess:
                     frames = batches.pop((node_id, receiver), [])
                     frames.append(marker)
                     for unit in self.codec.encode_batch(frames):
-                        self.frames_sent += 1
+                        self.frames_by_node[node_id] += 1
                         await endpoint.send(receiver, unit)

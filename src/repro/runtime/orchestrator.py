@@ -50,10 +50,17 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.problem import converged_at
 from repro.errors import ConfigurationError, TransportError, check_resilience
-from repro.net.trace import BeatRecord, records_to_jsonl
+from repro.net.trace import BeatRecord
 from repro.net.world import build_world
 from repro.runtime.codec import DEFAULT_CODEC, resolve_codec
-from repro.runtime.runner import _default_probe, _pulse_skew, _run_world, _tally
+from repro.runtime.runner import (
+    _LiveResult,
+    _default_probe,
+    _history_rows,
+    _pulse_skew,
+    _run_world,
+    _tally,
+)
 from repro.runtime.sync import check_sync
 from repro.runtime.transport import TcpTransport
 
@@ -133,7 +140,7 @@ class ClusterSpec:
 
 
 @dataclass(frozen=True)
-class ClusterResult:
+class ClusterResult(_LiveResult):
     """Merged outcome of one cluster run (the multi-process
     :class:`~repro.runtime.runner.RuntimeResult`)."""
 
@@ -161,68 +168,10 @@ class ClusterResult:
     #: *across* worker processes, so this is a per-worker measurement
     #: merged by max — a lower bound on the cluster-wide skew.
     pulse_skew_s: "float | None" = None
-    #: Merged per-worker metrics registries (a
-    #: :class:`~repro.obs.MetricsRegistry`); excluded from equality so
+    #: The merged counters re-homed by :func:`repro.obs.record_runtime`
+    #: (a :class:`~repro.obs.MetricsRegistry`); excluded from equality so
     #: result comparison stays about the trajectory and its counters.
     metrics: "Any | None" = field(default=None, repr=False, compare=False)
-
-    @property
-    def converged(self) -> bool:
-        return self.converged_beat is not None
-
-    @property
-    def history(self) -> tuple[tuple, ...]:
-        """Per-beat honest values, node-id-sorted — the monitors' shape."""
-        return tuple(
-            tuple(record.values[i] for i in sorted(record.values))
-            for record in self.records
-        )
-
-    @property
-    def health(self) -> dict[str, int]:
-        """The barrier drop counters as one name-keyed snapshot."""
-        return {
-            "late_messages": self.late_messages,
-            "premature_messages": self.premature_messages,
-            "malformed_frames": self.malformed_frames,
-            "barrier_timeouts": self.barrier_timeouts,
-        }
-
-    def to_jsonl(self, *, health: bool = False) -> str:
-        """The trajectory in the shared JSONL trace format.
-
-        ``health=True`` appends one flight-recorder ``health`` event
-        line (barrier counters plus per-node frame totals) — the same
-        shape :meth:`~repro.runtime.runner.RuntimeResult.to_jsonl`
-        emits; the default stays byte-identical to a single-process
-        run's trace.
-        """
-        text = records_to_jsonl(self.records)
-        if health:
-            from repro.obs.recorder import TraceEvent
-
-            frames = {
-                str(node_id): count
-                for node_id, count in sorted(
-                    (self.frames_by_node or {}).items()
-                )
-            }
-            event = TraceEvent(
-                "health", self.beats_run,
-                {**self.health, "frames_by_node": frames},
-            )
-            text += event.to_jsonl() + "\n"
-        return text
-
-    @property
-    def beats_per_sec(self) -> float:
-        return self.beats_run / self.elapsed_s if self.elapsed_s > 0 else 0.0
-
-    @property
-    def messages_per_sec(self) -> float:
-        return (
-            self.messages_sent / self.elapsed_s if self.elapsed_s > 0 else 0.0
-        )
 
 
 def load_specs(path: str) -> "tuple[ClusterSpec, ...]":
@@ -330,7 +279,6 @@ async def _worker_async(
         "traces": {
             rn.node.node_id: list(rn.trace) for rn in runtime_nodes
         },
-        "sync": spec.sync,
         **_tally(runtime_nodes, process, transport),
     }
     if spec.sync == "pulse":
@@ -339,51 +287,7 @@ async def _worker_async(
             if len(runtime_nodes) >= 2
             else None
         )
-    payload["metrics"] = _worker_registry(payload).to_json()
     return payload
-
-
-def _worker_registry(payload: "dict[str, Any]"):
-    """One worker's counters re-homed onto a fresh metrics registry.
-
-    Per-node labels on frame counts keep worker sample sets disjoint, so
-    the parent's :meth:`~repro.obs.MetricsRegistry.merge_json` fold is
-    lossless.  Metric names match :func:`repro.obs.record_runtime`, so a
-    merged cluster registry reads like a single-process run's.
-    """
-    from repro.obs.metrics import MetricsRegistry
-
-    registry = MetricsRegistry()
-    registry.counter(
-        "runtime_messages_sent_total", "protocol messages sent"
-    ).set_total(payload["messages_sent"])
-    frames = registry.counter(
-        "runtime_frames_sent_total", "wire units shipped, per node"
-    )
-    for node_id, count in sorted(payload["frames_by_node"].items()):
-        frames.set_total(count, node=str(node_id))
-    registry.counter(
-        "runtime_late_messages_total",
-        "frames that arrived after their barrier closed (dropped)",
-    ).set_total(payload["late_messages"])
-    registry.counter(
-        "runtime_premature_messages_total",
-        "frames tagged beyond the lookahead horizon (dropped)",
-    ).set_total(payload["premature_messages"])
-    registry.counter(
-        "runtime_malformed_frames_total",
-        "wire units that failed to decode (dropped whole)",
-    ).set_total(payload["malformed_frames"])
-    registry.counter(
-        "runtime_barrier_timeouts_total",
-        "round barriers closed by timeout instead of full markers",
-    ).set_total(payload["barrier_timeouts"])
-    if payload.get("sync") == "pulse":
-        registry.counter(
-            "runtime_pulse_timeouts_total",
-            "pulse barriers closed by the pulse deadline",
-        ).set_total(payload.get("pulse_timeouts", 0))
-    return registry
 
 
 def _cluster_worker(
@@ -481,37 +385,25 @@ def run_cluster(spec: ClusterSpec) -> ClusterResult:
         BeatRecord(beat, values_by_beat.get(beat, {}))
         for beat in range(spec.beats)
     )
-    history = tuple(
-        tuple(record.values[i] for i in sorted(record.values))
-        for record in records
-    )
-    from repro.obs.metrics import MetricsRegistry
-
-    metrics = MetricsRegistry()
-    for payload in payloads:
-        metrics.merge_json(payload["metrics"])
-    metrics.counter(
-        "runtime_beats_total", "beats the run executed"
-    ).set_total(spec.beats)
-    metrics.gauge(
-        "runtime_elapsed_seconds", "wall-clock duration of the run"
-    ).set(elapsed)
     frames_by_node: dict[int, int] = {}
     for payload in payloads:
         frames_by_node.update(payload["frames_by_node"])
-    pulse_timeouts = sum(p.get("pulse_timeouts", 0) for p in payloads)
+    totals = {
+        name: sum(p[name] for p in payloads)
+        for name in (
+            "messages_sent", "frames_sent", "late_messages",
+            "premature_messages", "barrier_timeouts", "malformed_frames",
+            "pulse_timeouts",
+        )
+    }
     worker_skews = [
         p["pulse_skew_s"]
         for p in payloads
         if p.get("pulse_skew_s") is not None
     ]
-    pulse_skew = max(worker_skews) if worker_skews else None
-    if spec.sync == "pulse" and pulse_skew is not None:
-        metrics.gauge(
-            "runtime_pulse_skew_seconds",
-            "max within-worker pulse barrier close spread",
-        ).set(pulse_skew)
-    return ClusterResult(
+    from repro.obs.metrics import MetricsRegistry, record_runtime
+
+    result = ClusterResult(
         name=spec.name,
         n=spec.n,
         f=spec.f,
@@ -520,20 +412,16 @@ def run_cluster(spec: ClusterSpec) -> ClusterResult:
         processes=spec.processes,
         beats_run=spec.beats,
         records=records,
-        converged_beat=converged_at(history, spec.k),
-        messages_sent=sum(p["messages_sent"] for p in payloads),
-        frames_sent=sum(p["frames_sent"] for p in payloads),
-        late_messages=sum(p["late_messages"] for p in payloads),
-        premature_messages=sum(p["premature_messages"] for p in payloads),
-        barrier_timeouts=sum(p["barrier_timeouts"] for p in payloads),
-        malformed_frames=sum(p["malformed_frames"] for p in payloads),
+        converged_beat=converged_at(_history_rows(records), spec.k),
         elapsed_s=elapsed,
         frames_by_node=frames_by_node,
         sync=spec.sync,
-        pulse_timeouts=pulse_timeouts,
-        pulse_skew_s=pulse_skew,
-        metrics=metrics,
+        pulse_skew_s=max(worker_skews) if worker_skews else None,
+        metrics=MetricsRegistry(),
+        **totals,
     )
+    record_runtime(result.metrics, result)
+    return result
 
 
 def _expect(conn: "Connection", index: int, want: str) -> tuple:

@@ -57,42 +57,12 @@ def _history_rows(records: "tuple[BeatRecord, ...]") -> tuple[tuple, ...]:
     )
 
 
-@dataclass(frozen=True)
-class RuntimeResult:
-    """Outcome of one live run.
-
-    ``records`` holds one :class:`~repro.net.trace.BeatRecord` per beat —
-    the honest nodes' probe values — in the same shape a simulator-side
-    :class:`~repro.net.trace.Tracer` produces, so both serialize to the
-    same JSONL trace format.  ``converged_beat`` is computed from the
-    records when ``k`` was supplied (else ``None``), with the simulator's
-    Definition 3.2 semantics.
-    """
-
-    seed: int
-    transport: str
-    beats_run: int
-    records: tuple[BeatRecord, ...] = field(repr=False)
-    converged_beat: "int | None"
-    messages_sent: int
-    late_messages: int
-    premature_messages: int
-    barrier_timeouts: int
-    elapsed_s: float
-    codec: str = "json"
-    frames_sent: int = 0
-    malformed_frames: int = 0
-    frames_by_node: "dict[int, int] | None" = None
-    #: Barrier mode: ``"beat"`` (fixed timeout) or ``"pulse"`` (drifting
-    #: clock pulse schedule — see :class:`~repro.runtime.sync.PulseBarrier`).
-    sync: str = "beat"
-    pulse_timeouts: int = 0
-    #: Pulse mode only: max pairwise spread of barrier-close instants over
-    #: any beat, in real seconds (the run's measured precision).
-    pulse_skew_s: "float | None" = None
-    #: Pulse mode only: real seconds from the run anchor to the last
-    #: honest close of the convergence beat (``None`` if not converged).
-    converged_time_s: "float | None" = None
+class _LiveResult:
+    """Views shared by every live-run result (:class:`RuntimeResult` and
+    the cluster's :class:`~repro.runtime.orchestrator.ClusterResult`),
+    computed from their common fields: ``records``, ``converged_beat``,
+    ``beats_run``, ``elapsed_s``, ``messages_sent``, ``frames_by_node``
+    and the barrier counters."""
 
     @property
     def converged(self) -> bool:
@@ -148,6 +118,44 @@ class RuntimeResult:
         return (
             self.messages_sent / self.elapsed_s if self.elapsed_s > 0 else 0.0
         )
+
+
+@dataclass(frozen=True)
+class RuntimeResult(_LiveResult):
+    """Outcome of one live run.
+
+    ``records`` holds one :class:`~repro.net.trace.BeatRecord` per beat —
+    the honest nodes' probe values — in the same shape a simulator-side
+    :class:`~repro.net.trace.Tracer` produces, so both serialize to the
+    same JSONL trace format.  ``converged_beat`` is computed from the
+    records when ``k`` was supplied (else ``None``), with the simulator's
+    Definition 3.2 semantics.
+    """
+
+    seed: int
+    transport: str
+    beats_run: int
+    records: tuple[BeatRecord, ...] = field(repr=False)
+    converged_beat: "int | None"
+    messages_sent: int
+    late_messages: int
+    premature_messages: int
+    barrier_timeouts: int
+    elapsed_s: float
+    codec: str = "json"
+    frames_sent: int = 0
+    malformed_frames: int = 0
+    frames_by_node: "dict[int, int] | None" = None
+    #: Barrier mode: ``"beat"`` (fixed timeout) or ``"pulse"`` (drifting
+    #: clock pulse schedule — see :class:`~repro.runtime.sync.PulseBarrier`).
+    sync: str = "beat"
+    pulse_timeouts: int = 0
+    #: Pulse mode only: max pairwise spread of barrier-close instants over
+    #: any beat, in real seconds (the run's measured precision).
+    pulse_skew_s: "float | None" = None
+    #: Pulse mode only: real seconds from the run anchor to the last
+    #: honest close of the convergence beat (``None`` if not converged).
+    converged_time_s: "float | None" = None
 
 
 async def _run_world(
@@ -262,6 +270,7 @@ def _tally(
             "premature_messages", "barrier_timeouts", "pulse_timeouts",
         ):
             counters[name] += getattr(process, name)
+        counters["frames_by_node"].update(process.frames_by_node)
     return counters
 
 

@@ -41,6 +41,14 @@ LINKS = (
     ("partition", {"split": 2, "heal": 6, "period": 10}),
 )
 
+#: The phantom-storm pin adds perfect links and a partition whose window
+#: covers the storm beat (20), where the vectorized path routes phantoms.
+STORM_LINKS = (
+    ("perfect", None),
+    *LINKS,
+    ("partition", {"split": 15, "heal": 30}),
+)
+
 
 def _coin_factory():
     return OracleCoin(p0=0.4, p1=0.4, rounds=2)
@@ -104,16 +112,21 @@ class TestClockSyncDifferential:
         ref = _observe("reference", seed, EquivocatorAdversary)
         assert ref == _observe("bulk", seed, EquivocatorAdversary)
 
+    @pytest.mark.parametrize("link,params", STORM_LINKS)
     @pytest.mark.parametrize("seed", range(4))
-    def test_scramble_and_phantom_storm_identical(self, seed):
+    def test_scramble_and_phantom_storm_identical(self, seed, link, params):
         """Mid-run scramble exercises the stale-reload hook; the storm
-        exercises the per-receiver dirty merge (incl. unknown paths)."""
+        exercises the per-receiver dirty merge (incl. unknown paths),
+        under every link model — phantoms bypass the link layer while
+        the traffic around them is delayed or dropped."""
         for adversary_factory in (lambda: None, SplitWorldAdversary):
             ref = _observe(
-                "reference", seed, adversary_factory, beats=60, storm_at=20
+                "reference", seed, adversary_factory, beats=60, storm_at=20,
+                link=link, link_params=params,
             )
             blk = _observe(
-                "bulk", seed, adversary_factory, beats=60, storm_at=20
+                "bulk", seed, adversary_factory, beats=60, storm_at=20,
+                link=link, link_params=params,
             )
             assert ref == blk
 

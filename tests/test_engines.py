@@ -27,14 +27,28 @@ from repro.net.engine import (
     ReferenceEngine,
     resolve_engine,
 )
+from repro.net.linkmodel import make_link
 from repro.net.simulator import Simulation
 
 SEEDS = range(10)
 
+#: Link conditions for the phantom-storm pin; the partition window covers
+#: the storm beat, and the delay bound keeps traffic in flight across it.
+STORM_LINKS = (
+    ("perfect", {}),
+    ("delay", {"max_delay": 2}),
+    ("lossy", {"loss": 0.3}),
+    ("partition", {"split": 10, "heal": 30}),
+)
+
 
 def _observe(engine: str, seed: int, adversary_factory, *, beats: int = 40,
-             storm_at: int | None = None, coin: str = "oracle"):
-    """Run one scrambled clock-sync run; return every observable."""
+             storm_at: int | None = None, coin: str = "oracle",
+             link=("perfect", {})):
+    """Run one scrambled clock-sync run; return every observable.
+
+    ``link`` is a link model's ``(name, params)`` pair.
+    """
     if coin == "gvss":
         coin_factory = lambda: FeldmanMicaliCoin(4, 1)
     else:
@@ -46,6 +60,7 @@ def _observe(engine: str, seed: int, adversary_factory, *, beats: int = 40,
         adversary=adversary_factory(),
         seed=seed,
         engine=engine,
+        link=make_link(*link),
     )
     monitor = ClockConvergenceMonitor(6)
     sim.add_monitor(monitor)
@@ -64,6 +79,8 @@ def _observe(engine: str, seed: int, adversary_factory, *, beats: int = 40,
         sim.stats.total_messages,
         sim.stats.honest_messages,
         sim.stats.byzantine_messages,
+        sim.stats.dropped_messages,
+        sim.stats.delayed_messages,
         per_beat,
         dict(sim.stats.per_path_prefix),
     )
@@ -82,14 +99,21 @@ class TestDifferentialEquivalence:
         fast = _observe("fast", seed, EquivocatorAdversary)
         assert reference == fast
 
+    @pytest.mark.parametrize("link", STORM_LINKS, ids=lambda link: link[0])
     @pytest.mark.parametrize("seed", range(4))
-    def test_scramble_and_phantom_storm_identical(self, seed):
-        """Mid-run transient fault + phantom burst: engines stay in lockstep."""
+    def test_scramble_and_phantom_storm_identical(self, seed, link):
+        """Mid-run transient fault + phantom burst: engines stay in lockstep,
+        also while a link model delays or drops the traffic around the
+        phantoms (the DELAYED < REGULAR < PHANTOM stage order)."""
         for adversary_factory in (lambda: None, SplitWorldAdversary):
             reference = _observe(
-                "reference", seed, adversary_factory, beats=60, storm_at=20
+                "reference", seed, adversary_factory, beats=60, storm_at=20,
+                link=link,
             )
-            fast = _observe("fast", seed, adversary_factory, beats=60, storm_at=20)
+            fast = _observe(
+                "fast", seed, adversary_factory, beats=60, storm_at=20,
+                link=link,
+            )
             assert reference == fast
 
     @pytest.mark.parametrize("seed", range(3))

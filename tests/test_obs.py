@@ -433,6 +433,23 @@ class TestNoPerturbationRuntime:
         ) == result.frames_sent
         assert registry.counter("runtime_beats_total").value() == 8
 
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_per_node_frames_include_the_byzantine_process(self, codec):
+        """The faulty ids' frames are per-node samples too, so the
+        per-node counts, the total and the registry all agree."""
+        registry = MetricsRegistry()
+        result = run_runtime(
+            7, 2, _factory(), adversary=EquivocatorAdversary(), seed=0,
+            beats=8, codec=codec, k=6, metrics=registry,
+        )
+        frames = registry.counter("runtime_frames_sent_total")
+        assert (
+            sum(result.frames_by_node.values())
+            == result.frames_sent
+            == sum(value for _labels, value in frames.samples())
+        )
+        assert len(result.frames_by_node) == 7
+
 
 # ---------------------------------------------------------------------------
 # MessageStats accounting parity across engines under degraded links
@@ -561,37 +578,3 @@ class TestTraceAnalysis:
     def test_diff_reports_beat_renumbering(self):
         diff = diff_records([BeatRecord(0, {0: 1})], [BeatRecord(5, {0: 1})])
         assert diff.beat == 0
-
-
-# ---------------------------------------------------------------------------
-# Cluster metrics merging
-# ---------------------------------------------------------------------------
-
-
-class TestClusterMetricsMerge:
-    def test_worker_registries_merge_losslessly(self):
-        from repro.runtime.orchestrator import _worker_registry
-
-        payloads = [
-            {
-                "messages_sent": 10, "frames_by_node": {0: 5, 1: 7},
-                "late_messages": 1, "premature_messages": 0,
-                "malformed_frames": 0, "barrier_timeouts": 0,
-            },
-            {
-                "messages_sent": 12, "frames_by_node": {2: 6, 3: 8},
-                "late_messages": 0, "premature_messages": 2,
-                "malformed_frames": 0, "barrier_timeouts": 1,
-            },
-        ]
-        merged = MetricsRegistry()
-        for payload in payloads:
-            merged.merge_json(_worker_registry(payload).to_json())
-        assert merged.counter("runtime_messages_sent_total").value() == 22
-        frames = merged.counter("runtime_frames_sent_total")
-        assert {
-            labels["node"]: value for labels, value in frames.samples()
-        } == {"0": 5, "1": 7, "2": 6, "3": 8}
-        assert merged.counter("runtime_late_messages_total").value() == 1
-        assert merged.counter("runtime_premature_messages_total").value() == 2
-        assert merged.counter("runtime_barrier_timeouts_total").value() == 1

@@ -161,6 +161,29 @@ class TestRunCluster:
         assert result.to_jsonl() == single.to_jsonl()
         assert records_to_jsonl(result.records) == result.to_jsonl()
 
+        # The merged registry carries every node's frames, from both
+        # workers, under a per-node label, and the summed counters.
+        metrics = result.metrics
+        frames = metrics.counter("runtime_frames_sent_total")
+        assert {
+            labels["node"]: value for labels, value in frames.samples()
+        } == {str(i): count for i, count in result.frames_by_node.items()}
+        assert set(result.frames_by_node) == {0, 1, 2, 3}
+        assert sum(result.frames_by_node.values()) == result.frames_sent
+        assert result.frames_sent == single.frames_sent
+        assert (
+            metrics.counter("runtime_messages_sent_total").value()
+            == result.messages_sent
+            == single.messages_sent
+        )
+        for name in ("late_messages", "premature_messages",
+                     "barrier_timeouts"):
+            assert (
+                metrics.counter(f"runtime_{name}_total").value()
+                == getattr(result, name)
+            )
+        assert metrics.counter("runtime_beats_total").value() == 10
+
     def test_worker_failure_surfaces_as_transport_error(self):
         """A spec that validates fine at the parent but fails inside the
         worker (here: a listener host nobody can bind) kills the whole
